@@ -9,6 +9,12 @@ configuration that cuts no must-co-locate (infinite) edge, even at negative
 finite gain. Infinite edge weights enter gain arithmetic as a finite dominant
 constant M (total finite weight + 1) so that uncutting one always beats any
 finite rearrangement; validity itself is always re-checked structurally.
+
+Two shortcuts keep the per-slice cost low without changing any result. The
+exchange kernel evaluates gains only on the block of still-unlocked nodes,
+which shrinks by two with every swap of a pass. And a slice whose pairs the
+incoming partition already co-locates is passed through without building its
+interaction graph, since the relaxed refinement would return it unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from ._jit import NUMBA_ENABLED, jit
 from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
-from .circuit import Circuit, interacting_pairs, timeslice
+from .circuit import Circuit, timeslice
 from .lookahead import DEFAULT_HORIZON, INFINITE, InteractionGraph, pair_arrays, window_matrix
 
 
@@ -81,26 +87,46 @@ def _select_swap_loops(sub_w, part_sums, part, locked):
     return best_u, best_v, best_gain
 
 
+_LOWER = np.zeros((0, 0), dtype=bool)
+
+
+def _lower_with_diagonal(m: int) -> np.ndarray:
+    """Mask of the entries on or below the diagonal of an m x m matrix.
+
+    The top-left m x m block of a larger such mask is itself one, so a single
+    cached mask of the largest size seen so far serves every call as a view.
+    """
+    global _LOWER
+    if _LOWER.shape[0] < m:
+        mask = np.tril(np.ones((m, m), dtype=bool))
+        mask.flags.writeable = False
+        _LOWER = mask
+    return _LOWER[:m, :m]
+
+
 def _select_swap_numpy(sub_w, part_sums, part, locked):
-    # Pure numpy path: full gain matrix, first row-major argmax = the
-    # lexicographically smallest maximizing pair, same as the loop scan.
-    n = part.shape[0]
-    toward = part_sums[:, part]  # toward[u, v] = sum of u's edges into v's part
-    own = part_sums[np.arange(n), part]
-    gains = (toward - own[:, None]) + (toward.T - own[None, :]) - 2.0 * sub_w
-    unlocked = ~locked
-    mask = (
-        (part[:, None] != part[None, :])
-        & unlocked[:, None]
-        & unlocked[None, :]
-        & np.triu(np.ones((n, n), dtype=bool), k=1)
-    )
-    if not mask.any():
+    # Pure numpy path over the block of unlocked nodes only: locked rows and
+    # columns can never be chosen, so they are not computed. Each gain is the
+    # loop scan's expression with the same operations in the same order, so
+    # the values are bit-identical. The unlocked indices ascend, so the first
+    # row-major argmax in the block is the lexicographically smallest
+    # maximizing pair (u < v), same as the loop scan.
+    free = np.flatnonzero(~locked)
+    m = free.shape[0]
+    free_part = part[free]
+    # toward[i, j] = sum of free[i]'s edges into free[j]'s part; the diagonal
+    # is each node's sum into its own part.
+    toward = part_sums[free][:, free_part]
+    a = toward - toward.diagonal()[:, None]
+    gains = a + a.T
+    gains -= 2.0 * sub_w[free][:, free]
+    blocked = free_part[:, None] == free_part[None, :]
+    blocked |= _lower_with_diagonal(m)
+    if blocked.all():
         return -1, -1, -np.inf
-    gains = np.where(mask, gains, -np.inf)
-    flat = int(np.argmax(gains))
-    u, v = divmod(flat, n)
-    return u, v, float(gains[u, v])
+    np.putmask(gains, blocked, -np.inf)
+    i, j = divmod(int(np.argmax(gains)), m)
+    return int(free[i]), int(free[j]), float(gains[i, j])
 
 
 _select_swap = jit(_select_swap_loops) if NUMBA_ENABLED else _select_swap_numpy
@@ -131,11 +157,7 @@ def _apply_swap(sub_w, part_sums, part, u, v):
 
 
 def _cut_infinite(part, inf_a, inf_b) -> int:
-    total = 0
-    for a, b in zip(inf_a, inf_b):
-        if part[a] != part[b]:
-            total += 1
-    return total
+    return int(np.count_nonzero(part[inf_a] != part[inf_b]))
 
 
 def oee_refine(graph: InteractionGraph, initial, num_parts: int | None = None):
@@ -236,16 +258,19 @@ def fgp_map_circuit(
     part = np.arange(padded, dtype=np.int64) // arch.capacity
     assignments = []
     for t in range(sliced.num_slices):
-        weights = np.zeros((padded, padded))
-        weights[:num_q, :num_q] = window_matrix(num_q, pa, pb, offsets, t, config.horizon)
-        for a, b in interacting_pairs(sliced.slices[t]):
+        a, b = pa[offsets[t]:offsets[t + 1]], pb[offsets[t]:offsets[t + 1]]
+        # A partition that already co-locates every current pair is what
+        # roee_refine would return unchanged: skip building the graph.
+        if config.continue_after_valid or (part[a] != part[b]).any():
+            weights = np.zeros((padded, padded))
+            weights[:num_q, :num_q] = window_matrix(num_q, pa, pb, offsets, t, config.horizon)
             weights[a, b] = INFINITE
             weights[b, a] = INFINITE
-        graph = InteractionGraph(padded, weights)
-        part = np.asarray(
-            roee_refine(graph, part, config.continue_after_valid, config.max_passes)
-        )
-        assignments.append(Assignment(tuple(int(c) for c in part[:num_q])))
+            graph = InteractionGraph(padded, weights)
+            part = np.asarray(
+                roee_refine(graph, part, config.continue_after_valid, config.max_passes)
+            )
+        assignments.append(Assignment(tuple(part[:num_q].tolist())))
     return AssignmentPath(
         num_qubits=num_q,
         num_cores=arch.num_cores,

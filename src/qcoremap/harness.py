@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, fields
 
 from .assignment import Architecture, count_communications, validate_path
-from .circuit import timeslice
+from .circuit import Circuit, timeslice
 from .fgp import FgpConfig, fgp_map_circuit
 from .generators import BenchmarkSpec
 from .hqa import HqaConfig, map_circuit
@@ -95,9 +95,16 @@ def run_single(
     mapper: str,
     use_attraction: bool = True,
     horizon: int = DEFAULT_HORIZON,
+    *,
+    circuit: Circuit | None = None,
 ) -> RunRecord:
-    """Generate, slice, map, validate every slice, and count relocations."""
-    circuit = spec.build()
+    """Generate, slice, map, validate every slice, and count relocations.
+
+    ``circuit`` is ``spec``'s circuit when the caller has already built it;
+    by default it is built here.
+    """
+    if circuit is None:
+        circuit = spec.build()
     if mapper not in (MAPPER_HQA, MAPPER_FGP):
         raise UsageError(f"unknown mapper '{mapper}'")
     started = time.perf_counter()
@@ -170,10 +177,13 @@ def _mapper_comparison_sweep(
             comms: dict[tuple[str, bool], list[int]] = {}
             for s in _seeds_for(family, seed, replicas):
                 spec = make_spec(family, density, num_qubits, s)
+                circuit = spec.build()
                 for mapper in mappers:
                     modes = attraction_modes if mapper == MAPPER_HQA else [False]
                     for attraction in modes:
-                        record = run_single(spec, arch, mapper, attraction, horizon)
+                        record = run_single(
+                            spec, arch, mapper, attraction, horizon, circuit=circuit
+                        )
                         records.append(record)
                         comms.setdefault((mapper, attraction), []).append(
                             record.communications
@@ -267,8 +277,11 @@ def sweep_attraction(
             comms: dict[bool, list[int]] = {True: [], False: []}
             for s in _seeds_for(family, seed, replicas):
                 spec = make_spec(family, density, num_qubits, s)
+                circuit = spec.build()
                 for attraction in (False, True):
-                    record = run_single(spec, arch, MAPPER_HQA, attraction, horizon)
+                    record = run_single(
+                        spec, arch, MAPPER_HQA, attraction, horizon, circuit=circuit
+                    )
                     records.append(record)
                     comms[attraction].append(record.communications)
             off_med = _median(comms[False])

@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 from qcoremap import (
     Architecture,
     Circuit,
+    FgpConfig,
     Gate,
     INFINITE,
     InteractionGraph,
     ValidityUnreachableError,
     count_communications,
     fgp_map_circuit,
+    gen_cuccaro,
     gen_ghz,
+    gen_grover,
+    gen_qft,
+    gen_quantum_volume,
+    gen_random,
+    interacting_pairs,
     is_valid,
     minimum_communications,
     oee_refine,
@@ -22,6 +29,7 @@ from qcoremap import (
     timeslice,
 )
 from qcoremap.fgp import _substitute, cut_weight
+from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
 
 from conftest import circuits
 
@@ -237,3 +245,53 @@ class TestFgpMapCircuit:
         assert path.num_slices == sliced.num_slices
         for assignment, gates in zip(path.assignments, sliced.slices):
             assert is_valid(assignment, gates, arch)
+
+
+def reference_fgp_path(circuit, arch, continue_after_valid=False):
+    """fgp's path with every slice refined from its full interaction graph:
+    look-ahead window weights, current pairs infinite, padded with dummies."""
+    num_q = circuit.num_qubits
+    padded = arch.num_cores * arch.capacity
+    sliced = timeslice(circuit)
+    pa, pb, offsets = pair_arrays(sliced)
+    part = np.arange(padded) // arch.capacity
+    path = []
+    for t, gates in enumerate(sliced.slices):
+        weights = np.zeros((padded, padded))
+        weights[:num_q, :num_q] = window_matrix(num_q, pa, pb, offsets, t, DEFAULT_HORIZON)
+        for a, b in interacting_pairs(gates):
+            weights[a, b] = weights[b, a] = INFINITE
+        part = roee_refine(InteractionGraph(padded, weights), part, continue_after_valid)
+        path.append(tuple(part[:num_q].tolist()))
+    return path
+
+
+class TestValidSliceSkip:
+    """Slices the incoming partition already satisfies skip the graph build;
+    the path must equal refining every slice from its full graph."""
+
+    CIRCUITS = [
+        gen_ghz(12),
+        gen_qft(12),
+        gen_cuccaro(5),
+        gen_grover(8, 1),
+        gen_quantum_volume(12, 6, seed=3),
+        gen_random(12, cycles=10, p=0.5, seed=4),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(CIRCUITS)))
+    @pytest.mark.parametrize("cores,capacity", [(2, 6), (3, 4), (3, 6)])
+    def test_matches_full_refinement(self, index, cores, capacity):
+        # (3, 6) leaves slots empty, so the partition carries dummy qubits.
+        circuit = self.CIRCUITS[index]
+        arch = Architecture(cores, capacity)
+        got = [a.core_of for a in fgp_map_circuit(circuit, arch).assignments]
+        assert got == reference_fgp_path(circuit, arch)
+
+    @pytest.mark.parametrize("index", range(len(CIRCUITS)))
+    def test_matches_full_refinement_continue_after_valid(self, index):
+        circuit = self.CIRCUITS[index]
+        arch = Architecture(3, 6)
+        config = FgpConfig(continue_after_valid=True)
+        got = [a.core_of for a in fgp_map_circuit(circuit, arch, config).assignments]
+        assert got == reference_fgp_path(circuit, arch, continue_after_valid=True)

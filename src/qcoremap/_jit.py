@@ -1,6 +1,6 @@
-"""Optional numba acceleration for the hot kernels.
+"""Optional numba acceleration for fgp's exchange kernel (``_select_swap``).
 
-Set QCOREMAP_NO_NUMBA=1 to run the pure numpy/Python fallback paths instead.
+Set QCOREMAP_NO_NUMBA=1 to run its numpy fallback instead.
 The flag is read once at import time.
 """
 

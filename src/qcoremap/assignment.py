@@ -100,11 +100,21 @@ def initial_assignment(num_qubits: int, arch: Architecture) -> Assignment:
 
 
 def is_valid(assignment: Assignment, gates: Iterable[Gate], arch: Architecture) -> bool:
-    """True iff every two-qubit gate is co-located and no core exceeds capacity."""
+    """True iff every two-qubit gate is co-located and no core exceeds capacity.
+
+    Raises MappingValidationError when a core index lies outside the
+    architecture: such an assignment is malformed, not merely invalid.
+    """
+    core_of = assignment.core_of
+    cores = set(range(arch.num_cores))
+    if not cores.issuperset(core_of):
+        bad = sorted(set(core_of) - cores)
+        raise MappingValidationError(
+            f"core indices {bad} lie outside 0..{arch.num_cores - 1}"
+        )
     loads = assignment.loads(arch.num_cores)
     if any(load > cap for load, cap in zip(loads, arch.capacities)):
         return False
-    core_of = assignment.core_of
     for g in gates:
         if g.is_two_qubit and core_of[g.qubits[0]] != core_of[g.qubits[1]]:
             return False
@@ -165,11 +175,17 @@ def count_communications(path: AssignmentPath | Sequence[Assignment]) -> int:
 
 
 def validate_path(path: AssignmentPath, sliced_slices, arch: Architecture) -> None:
-    """Raise MappingValidationError unless every slice's assignment is valid."""
+    """Raise MappingValidationError unless every slice's assignment is valid
+    and places exactly the path's qubits."""
     if path.num_slices != len(sliced_slices):
         raise MappingValidationError(
             f"path has {path.num_slices} assignments for {len(sliced_slices)} slices"
         )
     for t, (assignment, gates) in enumerate(zip(path.assignments, sliced_slices)):
+        if assignment.num_qubits != path.num_qubits:
+            raise MappingValidationError(
+                f"assignment for slice {t} places {assignment.num_qubits} qubits, "
+                f"path has {path.num_qubits}"
+            )
         if not is_valid(assignment, gates, arch):
             raise MappingValidationError(f"assignment for slice {t} is invalid")

@@ -9,6 +9,12 @@ Determinism contract: among all minimum-cost matchings, the one whose column
 sequence (col_of_row) is lexicographically smallest is returned. This is
 achieved by extracting the matching greedily over the tight subgraph of the
 optimal dual potentials, checking completability with augmenting paths.
+
+The kernels run on nested lists of Python floats, converted once per call.
+The matrices are small (at most one row and column per core) and the kernels
+are scalar loops, where indexing a list costs a fraction of indexing a numpy
+array. IEEE double arithmetic is the same in both, so the duals and the
+matching do not depend on the representation.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._jit import jit
 
 FORBIDDEN = float("inf")
 TOL = 1e-9  # absolute tolerance for real-valued cost comparisons
@@ -38,29 +42,32 @@ class AssignmentSolution:
 def _jv_square(cost):
     """Shortest-augmenting-path assignment on a square matrix.
 
-    Returns (status, col_of_row, u, v); status 1 means no perfect matching
-    avoids the +inf entries. Column index n is a virtual start column.
+    ``cost`` is a list of rows of Python floats. Returns (status, col_of_row,
+    u, v) as lists; status 1 means no perfect matching avoids the +inf
+    entries. Column index n is a virtual start column.
     """
-    n = cost.shape[0]
-    inf = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.full(n + 1, -1, dtype=np.int64)  # p[j] = row matched to column j
-    way = np.zeros(n + 1, dtype=np.int64)
-    col_of_row = np.full(n, -1, dtype=np.int64)
+    n = len(cost)
+    inf = FORBIDDEN
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [-1] * (n + 1)  # p[j] = row matched to column j
+    way = [0] * (n + 1)
+    col_of_row = [-1] * n
     for i in range(n):
         p[n] = i
         j0 = n
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=np.bool_)
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
+            row = cost[i0]
+            ui = u[i0]
             delta = inf
             j1 = -1
             for j in range(n):
                 if not used[j]:
-                    cur = cost[i0, j] - u[i0] - v[j]
+                    cur = row[j] - ui - v[j]
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
@@ -93,24 +100,25 @@ def _lex_canonical(cost, u, v, col_of_row, r, tol):
     Optimal matchings are exactly the perfect matchings of the tight subgraph
     (reduced cost <= tol) of the optimal duals. Rows 0..r-1 are fixed in
     ascending order to the smallest tight column that still leaves the rest
-    completable, checked by BFS augmentation.
+    completable, checked by BFS augmentation. Works on the lists that
+    _jv_square returns and rewrites ``col_of_row`` in place.
     """
-    n = cost.shape[0]
-    row_of_col = np.full(n, -1, dtype=np.int64)
+    n = len(cost)
+    row_of_col = [-1] * n
     for i in range(n):
         row_of_col[col_of_row[i]] = i
-    locked = np.zeros(n, dtype=np.bool_)
-    from_row = np.empty(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=np.bool_)
-    queue = np.empty(n, dtype=np.int64)
+    locked = [False] * n
+    from_row = [0] * n
     for i in range(r):
         cur = col_of_row[i]
+        row = cost[i]
+        ui = u[i]
         for j in range(n):
             if j == cur:
                 break  # nothing smaller is completable; keep the current column
             if locked[j]:
                 continue
-            if not cost[i, j] - u[i] - v[j] <= tol:
+            if not row[j] - ui - v[j] <= tol:
                 continue
             k = row_of_col[j]
             col_of_row[i] = j
@@ -120,20 +128,20 @@ def _lex_canonical(cost, u, v, col_of_row, r, tol):
                 cur = j
                 break
             # Row k lost column j; seek an alternating path k -> ... -> cur.
-            visited[:] = False
+            visited = [False] * n
             visited[j] = True
+            queue = [k]
             head = 0
-            tail = 0
-            queue[tail] = k
-            tail += 1
             found = False
-            while head < tail and not found:
+            while head < len(queue) and not found:
                 x = queue[head]
                 head += 1
+                xrow = cost[x]
+                ux = u[x]
                 for c in range(n):
                     if visited[c] or locked[c]:
                         continue
-                    if not cost[x, c] - u[x] - v[c] <= tol:
+                    if not xrow[c] - ux - v[c] <= tol:
                         continue
                     visited[c] = True
                     from_row[c] = x
@@ -149,8 +157,7 @@ def _lex_canonical(cost, u, v, col_of_row, r, tol):
                             cc = nxt
                         found = True
                         break
-                    queue[tail] = row_of_col[c]
-                    tail += 1
+                    queue.append(row_of_col[c])
             if found:
                 cur = j
                 break
@@ -160,10 +167,6 @@ def _lex_canonical(cost, u, v, col_of_row, r, tol):
             row_of_col[j] = k
         locked[cur] = True
     return col_of_row
-
-
-_jv_square = jit(_jv_square)
-_lex_canonical = jit(_lex_canonical)
 
 
 def _validated(costs) -> np.ndarray:
@@ -197,16 +200,12 @@ def solve(costs) -> AssignmentSolution:
     r, k = m.shape
     if r > k:
         raise ValueError(f"rows must not outnumber columns, got {r}x{k}")
-    square = m
-    if r < k:
-        square = np.zeros((k, k), dtype=np.float64)
-        square[:r] = m
-    status, col_of_row, u, v = _jv_square(square)
+    rows = m.tolist() + [[0.0] * k] * (k - r)  # padding rows are never written
+    status, col_of_row, u, v = _jv_square(rows)
     if status != 0:
         raise InfeasibleMatrixError(
             "no full matching avoids the forbidden entries"
         )
-    col_of_row = _lex_canonical(square, u, v, col_of_row, r, TOL)
-    cols = tuple(int(c) for c in col_of_row[:r])
+    cols = tuple(_lex_canonical(rows, u, v, col_of_row, r, TOL)[:r])
     total = float(sum(m[i, c] for i, c in enumerate(cols)))
     return AssignmentSolution(cols, total)

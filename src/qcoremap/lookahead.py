@@ -3,6 +3,9 @@
 A pair interacting d slices ahead contributes 2**-d, summed over a bounded
 look-ahead window. Pairs interacting in the current slice are marked with the
 INFINITE sentinel (IEEE +inf): they must be co-located, not merely attracted.
+
+The window is built with numpy in one vectorised pass and needs no compiled
+kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jit import NUMBA_ENABLED, jit
 from .circuit import TimeslicedCircuit, interacting_pairs
 
 INFINITE = float("inf")
@@ -62,36 +64,26 @@ def pair_arrays(sliced: TimeslicedCircuit) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _accumulate_window_loops(weights, pa, pb, offsets, t, t_end):
-    for m in range(t + 1, t_end + 1):
-        decay = 2.0 ** (-(m - t))
-        for g in range(offsets[m], offsets[m + 1]):
-            a = pa[g]
-            b = pb[g]
-            weights[a, b] += decay
-            weights[b, a] += decay
-
-
-def _accumulate_window_numpy(weights, pa, pb, offsets, t, t_end):
-    # Pure numpy path: one scatter-add per future slice in the window.
-    # Sums of dyadic decays are exact, so both paths agree bit-for-bit.
-    for m in range(t + 1, t_end + 1):
-        decay = 2.0 ** (-(m - t))
-        lo, hi = offsets[m], offsets[m + 1]
-        np.add.at(weights, (pa[lo:hi], pb[lo:hi]), decay)
-        np.add.at(weights, (pb[lo:hi], pa[lo:hi]), decay)
-
-
-_accumulate_window = jit(_accumulate_window_loops) if NUMBA_ENABLED else _accumulate_window_numpy
-
-
 def window_matrix(num_qubits, pa, pb, offsets, t, horizon) -> np.ndarray:
-    """Finite look-ahead weights anchored at slice t, over pre-flattened pairs."""
-    weights = np.zeros((num_qubits, num_qubits), dtype=np.float64)
+    """Finite look-ahead weights anchored at slice t, over pre-flattened pairs.
+
+    One pass: each pair in slices (t, t + horizon] adds its decay 2**-d to
+    both (a, b) and (b, a). The keys are interleaved pair by pair, so every
+    entry receives its terms in slice order, the order of the scalar
+    definition, and the sums are bit-identical to it at any horizon.
+    """
     t_end = min(len(offsets) - 2, t + horizon)
-    if t_end > t:
-        _accumulate_window(weights, pa, pb, offsets, t, t_end)
-    return weights
+    if t_end <= t:
+        return np.zeros((num_qubits, num_qubits), dtype=np.float64)
+    lo, hi = offsets[t + 1], offsets[t_end + 1]
+    a, b = pa[lo:hi], pb[lo:hi]
+    keys = np.empty(2 * (hi - lo), dtype=np.int64)
+    keys[0::2] = a * num_qubits + b
+    keys[1::2] = b * num_qubits + a
+    counts = np.diff(offsets[t + 1 : t_end + 2])
+    decay = np.repeat(np.ldexp(1.0, -np.arange(1, t_end - t + 1)), 2 * counts)
+    flat = np.bincount(keys, weights=decay, minlength=num_qubits * num_qubits)
+    return flat.reshape(num_qubits, num_qubits)
 
 
 def lookahead_weight(

@@ -7,10 +7,14 @@ from qcoremap import (
     Assignment,
     AssignmentPath,
     CapacityError,
+    Circuit,
     Gate,
+    MappingValidationError,
     count_communications,
     initial_assignment,
     is_valid,
+    timeslice,
+    validate_path,
 )
 
 
@@ -68,6 +72,12 @@ class TestIsValid:
     def test_overloaded_core_invalid(self):
         assert not is_valid(Assignment((0, 0, 0, 1)), [], Architecture(2, 2))
 
+    @pytest.mark.parametrize("core_of", [(0, -1, -1), (0, 2, 1), (5,)])
+    def test_core_out_of_range_rejected(self, core_of):
+        # A leaked LIFTED (-1) must not be counted on the last core.
+        with pytest.raises(MappingValidationError):
+            is_valid(Assignment(core_of), [], Architecture(2, 2))
+
 
 def path_of(*rows, num_cores=2, capacity=2):
     return AssignmentPath(
@@ -76,6 +86,28 @@ def path_of(*rows, num_cores=2, capacity=2):
         capacity=capacity,
         assignments=tuple(Assignment(tuple(r)) for r in rows),
     )
+
+
+class TestValidatePath:
+    def slices(self, n, *gates):
+        return timeslice(Circuit(n, tuple(gates))).slices
+
+    def test_valid_path_accepted(self):
+        validate_path(path_of((0, 0, 1, 1)), self.slices(4, cx(0, 1)), Architecture(2, 2))
+
+    def test_split_pair_rejected(self):
+        with pytest.raises(MappingValidationError):
+            validate_path(path_of((0, 1, 0, 1)), self.slices(4, cx(0, 1)), Architecture(2, 2))
+
+    def test_short_assignment_rejected(self):
+        path = AssignmentPath(4, 2, 2, (Assignment((0, 0)),))
+        with pytest.raises(MappingValidationError):
+            validate_path(path, self.slices(4, cx(0, 1)), Architecture(2, 2))
+
+    def test_lifted_core_rejected(self):
+        path = path_of((0, 0, -1, -1))
+        with pytest.raises(MappingValidationError):
+            validate_path(path, self.slices(4, cx(0, 1)), Architecture(2, 2))
 
 
 class TestCountCommunications:

@@ -193,8 +193,9 @@ class TestProperties:
         rng = np.random.default_rng(3)
         for _ in range(30):
             m = rng.uniform(-2, 2, size=(5, 5))
-            status, col_of_row, u, v = _jv_square(np.ascontiguousarray(m))
+            status, col_of_row, u, v = _jv_square(m.tolist())
             assert status == 0
+            u, v = np.asarray(u), np.asarray(v)
             reduced = m - u[:, None] - v[None, :]
             assert reduced.min() >= -1e-9
             for i, j in enumerate(col_of_row):

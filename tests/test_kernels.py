@@ -1,12 +1,16 @@
-"""Cross-path equivalence: the numba kernels and their numpy fallbacks must
-agree exactly. All weights are dyadic rationals, so float accumulation order
-cannot introduce discrepancies."""
+"""Cross-path equivalence: every kernel must agree exactly with its reference.
+
+fgp's numba kernel and its numpy fallback, the list-based Hungarian kernels
+and their array originals, and the vectorised look-ahead window and the
+scalar look-ahead definition. All weights are dyadic rationals and the
+Hungarian kernels repeat the same float operations in the same order, so
+results must be bit-identical."""
 
 import numpy as np
 import pytest
 
-from qcoremap import fgp
-from qcoremap._jit import NUMBA_ENABLED
+import hungarian_reference as reference
+from qcoremap import fgp, hqa, lookahead
 from qcoremap.fgp import (
     _part_sums,
     _select_swap,
@@ -14,14 +18,23 @@ from qcoremap.fgp import (
     _select_swap_numpy,
     _substitute,
 )
-from qcoremap.lookahead import (
-    INFINITE,
-    _accumulate_window_loops,
-    _accumulate_window_numpy,
-    pair_arrays,
-    window_matrix,
+from qcoremap.hungarian import TOL, _jv_square, _lex_canonical
+from qcoremap.lookahead import INFINITE, pair_arrays, window_matrix
+from qcoremap import (
+    Architecture,
+    HqaConfig,
+    InteractionGraph,
+    gen_cuccaro,
+    gen_ghz,
+    gen_qft,
+    gen_quantum_volume,
+    gen_random,
+    interacting_pairs,
+    lookahead_weight,
+    map_circuit,
+    oee_refine,
+    timeslice,
 )
-from qcoremap import InteractionGraph, gen_qft, gen_random, oee_refine, timeslice
 
 
 def random_partition_instance(rng, n=12, k=3):
@@ -117,30 +130,103 @@ def test_oee_refine_unchanged_by_kernel(monkeypatch):
         assert (oee_refine(InteractionGraph(24, w), p) == got).all()
 
 
-def test_accumulate_window_paths_agree():
-    sliced = timeslice(gen_random(10, cycles=12, p=0.6, seed=3))
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_hungarian_matches_reference(m):
+    """Both kernels, on the padded square that solve() builds from m.
+
+    Returns the reference status (0 feasible, 1 infeasible)."""
+    r, k = m.shape
+    square = np.zeros((k, k))
+    square[:r] = m
+    rows = square.tolist()
+    want = reference._jv_square(square)
+    got = _jv_square(rows)
+    assert got[0] == want[0]
+    assert got[1] == want[1].tolist()
+    assert bits(got[2]) == bits(want[2])
+    assert bits(got[3]) == bits(want[3])
+    if want[0] == 0:
+        want_cols = reference._lex_canonical(square, want[2], want[3], want[1], r, TOL)
+        got_cols = _lex_canonical(rows, got[2], got[3], got[1], r, TOL)
+        assert got_cols == want_cols.tolist()
+    return want[0]
+
+
+def test_hungarian_kernels_match_array_reference_fuzzed():
+    # Dyadic ties, uniform reals, attraction-shaped base-minus-dyadic costs
+    # and 0/1/2 costs, each with some +inf entries, rectangular or square:
+    # both feasible and infeasible matrices occur.
+    rng = np.random.default_rng(17)
+    statuses = set()
+    for it in range(3000):
+        k = int(rng.integers(1, 13))
+        r = int(rng.integers(1, k + 1))
+        kind = it % 4
+        if kind == 0:
+            m = rng.integers(0, 4, size=(r, k)) / 4.0
+        elif kind == 1:
+            m = rng.uniform(-2, 2, size=(r, k))
+        elif kind == 2:
+            m = rng.integers(1, 3, size=(r, k)) - rng.integers(0, 64, size=(r, k)) / 64.0
+        else:
+            m = rng.integers(0, 3, size=(r, k)).astype(float)
+        m[rng.random((r, k)) < 0.15] = INFINITE
+        statuses.add(assert_hungarian_matches_reference(m))
+    assert statuses == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "circuit", [gen_quantum_volume(120, 40, 5), gen_random(120, 40, 0.5, 5)], ids=["qv", "random"]
+)
+def test_hungarian_kernels_match_array_reference_on_hqa_matrices(circuit, monkeypatch):
+    captured = []
+    solve = hqa.solve
+
+    def recording_solve(costs):
+        captured.append(np.array(costs))
+        return solve(costs)
+
+    monkeypatch.setattr(hqa, "solve", recording_solve)
+    map_circuit(circuit, Architecture(12, 10), HqaConfig())
+    assert len(captured) > 100
+    for m in captured:
+        assert_hungarian_matches_reference(m)
+
+
+def scalar_window(sliced, t, horizon):
+    """The look-ahead matrix entry by entry from lookahead_weight."""
+    n = sliced.num_qubits
+    spec = np.zeros((n, n))
+    last = min(sliced.num_slices - 1, t + horizon)
+    support = set().union(*(interacting_pairs(sliced.slices[m]) for m in range(t + 1, last + 1)))
+    for a, b in support:
+        spec[a, b] = spec[b, a] = lookahead_weight(sliced, t, a, b, horizon)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        gen_ghz(120),
+        gen_qft(120),
+        gen_cuccaro(59),
+        gen_quantum_volume(120, 12, 6),
+        gen_random(120, 12, 0.5, 6),
+    ],
+    ids=["ghz", "qft", "cuccaro", "qv", "random"],
+)
+def test_window_matrix_matches_scalar_definition(circuit, monkeypatch):
+    # Pairs outside the window's support have weight 0 by definition, so
+    # only the support is evaluated; each slice's pair set is computed once
+    # so that the scalar definition runs at n = 120.
+    sliced = timeslice(circuit)
+    pair_sets = {id(gates): interacting_pairs(gates) for gates in sliced.slices}
+    monkeypatch.setattr(lookahead, "interacting_pairs", lambda gates: pair_sets[id(gates)])
     pa, pb, offsets = pair_arrays(sliced)
-    for t in (-1, 0, 3):
-        a = np.zeros((10, 10))
-        b = np.zeros((10, 10))
-        t_end = min(sliced.num_slices - 1, t + 8)
-        _accumulate_window_loops(a, pa, pb, offsets, t, t_end)
-        _accumulate_window_numpy(b, pa, pb, offsets, t, t_end)
-        assert (a == b).all()
-
-
-def test_jitted_hungarian_matches_pure_python():
-    if not NUMBA_ENABLED:
-        return  # single source: nothing to compare
-    from qcoremap.hungarian import _jv_square
-
-    pure = _jv_square.py_func
-    rng = np.random.default_rng(14)
-    for _ in range(40):
-        m = np.ascontiguousarray(rng.integers(0, 10, size=(6, 6)).astype(float))
-        status_a, cols_a, u_a, v_a = _jv_square(m)
-        status_b, cols_b, u_b, v_b = pure(m.copy())
-        assert status_a == status_b
-        assert (cols_a == cols_b).all()
-        assert (u_a == u_b).all()
-        assert (v_a == v_b).all()
+    for horizon in (1, 4, 32):
+        for t in range(-1, sliced.num_slices):
+            window = window_matrix(sliced.num_qubits, pa, pb, offsets, t, horizon)
+            assert window.tobytes() == scalar_window(sliced, t, horizon).tobytes()

@@ -118,7 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("qasm", type=Path, help="input file, or - for stdin")
     orc.add_argument("--cores", type=int, required=True)
     orc.add_argument("--capacity", type=int, required=True)
-    orc.add_argument("--max-states", type=int, default=100_000)
+    orc.add_argument("--max-states", type=int, default=1 << 23,
+                     help="budget on cores ** qubits, the size of the oracle's grid "
+                     "(default %(default)s)")
     return parser
 
 

@@ -1,77 +1,97 @@
-"""Exhaustive minimum-relocation oracle for tiny instances.
+"""Exact minimum-relocation oracle for tiny instances.
 
-Enumerates every capacity-respecting assignment, keeps the ones valid for
-each slice, and runs a dynamic program over slice transitions with relocation
-counts as edge costs. Exact but exponential in the qubit count; guarded by a
-state budget.
+A placement of ``n`` qubits on ``k`` cores is a core vector, stored as the
+flat index ``sum_q core(q) * k**q`` of a grid of ``k**n`` cells: qubit ``q``
+is base-``k`` digit ``q``. A dynamic program over slices keeps, for every
+cell, the fewest relocations of a valid path ending there; cells that
+overfill a core or split a pair of the current slice hold a sentinel.
+
+Relocations between two placements are the Hamming distance of their core
+vectors, which is separable. So one slice transition,
+``min_i cost[i] + d(i, j)``, is a distance transform taken one qubit axis at
+a time: along axis ``q`` a cell keeps its cost or takes the axis minimum plus
+one (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled Functions",
+Theory of Computing 2012). A slice costs O(n * k**n) and no
+``states x states`` table exists. Memory is a few bytes per cell, so the
+budget bounds ``k**n`` itself.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .assignment import Architecture
 from .circuit import Circuit, interacting_pairs, timeslice
 
+# Cost of an invalid cell; one transition adds at most 1 to it before the
+# minimum, so int32 cannot overflow.
+UNREACHABLE = 1 << 30
+
 
 class OracleInfeasibleError(RuntimeError):
     """Some slice admits no valid assignment at all."""
 
 
-def _all_states(num_qubits: int, arch: Architecture, max_states: int) -> np.ndarray:
-    if arch.num_cores ** num_qubits > max_states * 64:
-        raise ValueError(
-            f"{arch.num_cores}**{num_qubits} assignments exceed the oracle budget"
-        )
-    caps = arch.capacities
-    states = []
-    for combo in itertools.product(range(arch.num_cores), repeat=num_qubits):
-        loads = [0] * arch.num_cores
-        ok = True
-        for c in combo:
-            loads[c] += 1
-            if loads[c] > caps[c]:
-                ok = False
-                break
-        if ok:
-            states.append(combo)
-    if len(states) > max_states:
-        raise ValueError(f"{len(states)} feasible states exceed the oracle budget")
-    return np.asarray(states, dtype=np.int8)
+def _axis(grid: np.ndarray, k: int, n: int, q: int) -> np.ndarray:
+    """View of a flat grid whose middle axis is qubit ``q``'s core.
+
+    A 3-D view rather than an n-D one: numpy caps ndim at 64, and one core
+    allows any qubit count.
+    """
+    return grid.reshape(k ** (n - 1 - q), k, k**q)
+
+
+def _capacity_mask(arch: Architecture, n: int) -> np.ndarray:
+    """Cells whose core loads all stay within capacity."""
+    k = arch.num_cores
+    fits = np.ones(k**n, dtype=bool)
+    load = np.empty(k**n, dtype=np.int32)
+    for core, cap in enumerate(arch.capacities):
+        if cap >= n:
+            continue
+        load.fill(0)
+        for q in range(n):
+            _axis(load, k, n, q)[:, core, :] += 1
+        fits &= load <= cap
+    return fits
+
+
+def _slice_mask(fits: np.ndarray, pairs, k: int, n: int) -> np.ndarray:
+    """Cells of ``fits`` that put both qubits of every pair on one core."""
+    mask = fits.copy()
+    together = np.eye(k, dtype=bool)[:, None, :, None]
+    for a, b in pairs:  # a < b; axes 1 and 3 are the cores of b and a
+        view = mask.reshape(k ** (n - 1 - b), k, k ** (b - a - 1), k, k**a)
+        view &= together
+    return mask
 
 
 def minimum_communications(
-    circuit: Circuit, arch: Architecture, max_states: int = 100_000
+    circuit: Circuit, arch: Architecture, max_states: int = 1 << 23
 ) -> int:
     """True minimum total relocations over all valid assignment paths.
 
     The slice-0 assignment is free, matching the mappers' accounting.
+    ``max_states`` bounds ``num_cores ** num_qubits``, the grid size, and a
+    larger instance raises ``ValueError``.
     """
+    n, k = circuit.num_qubits, arch.num_cores
     sliced = timeslice(circuit)
+    if arch.total_capacity < n:
+        raise OracleInfeasibleError("architecture cannot hold the circuit")
     if sliced.num_slices == 0:
         return 0
-    states = _all_states(circuit.num_qubits, arch, max_states)
-    if len(states) == 0:
-        raise OracleInfeasibleError("architecture cannot hold the circuit")
-    # moves[i, j] = qubits whose core differs between state i and state j
-    moves = (states[:, None, :] != states[None, :, :]).sum(axis=2)
-
-    def valid_indices(gates) -> np.ndarray:
-        keep = np.ones(len(states), dtype=bool)
-        for a, b in interacting_pairs(gates):
-            keep &= states[:, a] == states[:, b]
-        return np.flatnonzero(keep)
-
-    current = valid_indices(sliced.slices[0])
-    if len(current) == 0:
-        raise OracleInfeasibleError("no valid assignment for slice 0")
-    cost = np.zeros(len(current), dtype=np.int64)
-    for t in range(1, sliced.num_slices):
-        nxt = valid_indices(sliced.slices[t])
-        if len(nxt) == 0:
+    if k**n > max_states:
+        raise ValueError(f"{k}**{n} core vectors exceed the oracle budget of {max_states}")
+    fits = _capacity_mask(arch, n)
+    cost = np.zeros(k**n, dtype=np.int32)
+    for t, gates in enumerate(sliced.slices):
+        if t:
+            for q in range(n):
+                view = _axis(cost, k, n, q)
+                np.minimum(view, view.min(axis=1, keepdims=True) + 1, out=view)
+        mask = _slice_mask(fits, interacting_pairs(gates), k, n)
+        if not mask.any():
             raise OracleInfeasibleError(f"no valid assignment for slice {t}")
-        cost = (cost[:, None] + moves[np.ix_(current, nxt)]).min(axis=0)
-        current = nxt
+        cost[~mask] = UNREACHABLE
     return int(cost.min())

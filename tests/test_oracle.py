@@ -1,16 +1,26 @@
-import pytest
+import tracemalloc
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracle_reference as reference
+from conftest import circuits
 from qcoremap import (
     Architecture,
+    CapacityError,
     Circuit,
     Gate,
+    MappingInfeasibleError,
     OracleInfeasibleError,
+    ValidityUnreachableError,
     count_communications,
     fgp_map_circuit,
     gen_ghz,
     gen_random,
     map_circuit,
     minimum_communications,
+    timeslice,
 )
 
 
@@ -39,6 +49,10 @@ class TestMinimumCommunications:
     def test_empty_circuit(self):
         assert minimum_communications(Circuit(3, ()), Architecture(2, 2)) == 0
 
+    def test_empty_circuit_that_does_not_fit(self):
+        with pytest.raises(OracleInfeasibleError, match="cannot hold"):
+            minimum_communications(Circuit(5, ()), Architecture(2, 2))
+
     def test_slack_allows_single_moves(self):
         # Slice 0 pins (0,1) and (2,3) into different cores; the free slot
         # then lets qubit 2 join core 0 with a single relocation.
@@ -53,6 +67,66 @@ class TestMinimumCommunications:
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
             minimum_communications(gen_ghz(16), Architecture(4, 4), max_states=10)
+
+
+class TestGridSize:
+    def test_ten_qubits_on_four_cores(self):
+        # 4**10 cells: the enumerated-state oracle refused this instance.
+        circuit = gen_random(10, cycles=6, p=0.5, seed=1)
+        assert minimum_communications(circuit, Architecture(4, 3)) == 6
+
+    def test_one_core_beyond_numpy_ndim_limit(self):
+        chain = Circuit(80, tuple(cx(q, q + 1) for q in range(79)))
+        assert minimum_communications(chain, Architecture(1, 80)) == 0
+
+    def test_peak_memory_a_few_bytes_per_cell(self):
+        circuit = gen_random(10, cycles=6, p=0.5, seed=2)
+        tracemalloc.start()
+        try:
+            minimum_communications(circuit, Architecture(4, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20  # 2**20 cells
+
+
+@st.composite
+def architectures(draw):
+    """1-4 cores, uniform or not, with capacities 1-4."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        return Architecture(k, draw(st.integers(min_value=1, max_value=4)))
+    caps = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=k, max_size=k))
+    return Architecture(k, max(caps), core_capacities=tuple(caps))
+
+
+def _optimum(oracle, circuit, arch):
+    try:
+        return oracle(circuit, arch)
+    except OracleInfeasibleError:
+        return "infeasible"
+
+
+class TestAgreesWithEnumeratedReference:
+    @given(circuits(max_qubits=7, max_gates=12), architectures())
+    @settings(max_examples=150, deadline=None)
+    def test_optimum_and_mapper_bound(self, circuit, arch):
+        n = circuit.num_qubits
+        # The reference holds a states x states x n comparison tensor.
+        assume(len(reference._all_states(n, arch, 1 << 30)) ** 2 * n <= 1 << 24)
+        expected = _optimum(reference.minimum_communications, circuit, arch)
+        if timeslice(circuit).num_slices == 0 and arch.total_capacity < n:
+            expected = "infeasible"  # the reference returns 0 before any capacity check
+        optimum = _optimum(minimum_communications, circuit, arch)
+        assert optimum == expected
+        mappers = [map_circuit] + ([fgp_map_circuit] if arch.is_uniform else [])
+        for mapper in mappers:
+            try:
+                path = mapper(circuit, arch)
+            except (CapacityError, MappingInfeasibleError, ValidityUnreachableError):
+                continue
+            assert optimum != "infeasible"
+            assert count_communications(path) >= optimum
 
 
 class TestMappersNeverBeatOracle:

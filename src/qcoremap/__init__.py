@@ -18,7 +18,7 @@ from .assignment import (
     validate_path,
 )
 from .circuit import Circuit, Gate, TimeslicedCircuit, interacting_pairs, timeslice
-from .fgp import FgpConfig, ValidityUnreachableError, fgp_map_circuit, oee_refine, roee_refine
+from .fgp import FgpConfig, ValidityUnreachableError, fgp_map_circuit, roee_refine
 from .generators import (
     BenchmarkSpec,
     gen_cuccaro,
@@ -36,13 +36,7 @@ from .hungarian import (
     shift_to_nonnegative,
     solve,
 )
-from .lookahead import (
-    INFINITE,
-    InteractionGraph,
-    build_interaction_graph,
-    lookahead_matrix,
-    lookahead_weight,
-)
+from .lookahead import INFINITE
 from .oracle import OracleInfeasibleError, minimum_communications
 from .qasm import QasmError, parse_qasm, serialize_qasm
 
@@ -62,7 +56,6 @@ __all__ = [
     "HqaConfig",
     "INFINITE",
     "InfeasibleMatrixError",
-    "InteractionGraph",
     "MappingInfeasibleError",
     "MappingValidationError",
     "OracleInfeasibleError",
@@ -70,7 +63,6 @@ __all__ = [
     "TimeslicedCircuit",
     "UnfeasibleOp",
     "ValidityUnreachableError",
-    "build_interaction_graph",
     "count_communications",
     "fgp_map_circuit",
     "gen_cuccaro",
@@ -83,11 +75,8 @@ __all__ = [
     "initial_assignment",
     "interacting_pairs",
     "is_valid",
-    "lookahead_matrix",
-    "lookahead_weight",
     "map_circuit",
     "minimum_communications",
-    "oee_refine",
     "parse_qasm",
     "roee_refine",
     "serialize_qasm",

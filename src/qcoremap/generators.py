@@ -197,10 +197,6 @@ class BenchmarkSpec:
         if self.family == "cuccaro" and (self.num_qubits < 4 or self.num_qubits % 2):
             raise ValueError(f"cuccaro qubit count must be even and >= 4, got {self.num_qubits}")
 
-    @property
-    def is_stochastic(self) -> bool:
-        return self.family in STOCHASTIC_FAMILIES
-
     def params_str(self) -> str:
         parts = []
         if self.family == "quantum_volume":

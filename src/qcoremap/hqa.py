@@ -115,60 +115,6 @@ def parity_fix(
     return out
 
 
-def attraction_qubit(
-    qi: int,
-    core_j: int,
-    residency: Sequence[int],
-    sliced: TimeslicedCircuit,
-    t: int,
-    horizon: int = DEFAULT_HORIZON,
-) -> float:
-    """Pull of qubit qi toward core_j: summed look-ahead weights to its residents.
-
-    ``residency`` maps each qubit to its current core, with LIFTED (-1) for
-    qubits pulled into the unassigned pool; lifted qubits exert no attraction.
-    """
-    pa, pb, offsets = pair_arrays(sliced)
-    weights = window_matrix(sliced.num_qubits, pa, pb, offsets, t, horizon)
-    total = 0.0
-    for q, core in enumerate(residency):
-        if core == core_j and q != qi:
-            total += weights[qi, q]
-    return total
-
-
-def cost_basic(
-    op: UnfeasibleOp, core_j: int, prev: Assignment, free_spaces: Sequence[int]
-) -> float:
-    """Relocations to place both endpoints in core_j, or FORBIDDEN if it lacks 2 slots."""
-    if free_spaces[core_j] < 2:
-        return FORBIDDEN
-    if prev.core_of[op.qa] == core_j or prev.core_of[op.qb] == core_j:
-        return 1.0
-    return 2.0
-
-
-def cost_attraction(
-    op: UnfeasibleOp,
-    core_j: int,
-    prev: Assignment,
-    free_spaces: Sequence[int],
-    residency: Sequence[int],
-    sliced: TimeslicedCircuit,
-    t: int,
-    horizon: int = DEFAULT_HORIZON,
-) -> float:
-    """cost_basic minus the mean attraction of the operation's endpoints to core_j."""
-    base = cost_basic(op, core_j, prev, free_spaces)
-    if base == FORBIDDEN:
-        return FORBIDDEN
-    pull = (
-        attraction_qubit(op.qa, core_j, residency, sliced, t, horizon)
-        + attraction_qubit(op.qb, core_j, residency, sliced, t, horizon)
-    ) / 2.0
-    return base - pull
-
-
 def _base_cost_matrix(ops: Sequence[UnfeasibleOp], prev: Assignment, free: np.ndarray):
     num_cores = len(free)
     cost = np.full((len(ops), num_cores), 2.0)

@@ -272,7 +272,7 @@ PROPERTY_SUITE = [
     ("test_lookahead", "TestProperties", "test_monotone_in_added_interactions"),
     ("test_lookahead", "TestProperties", "test_truncation_error_bounded"),
     ("test_hqa", "TestParityFix", "test_even_unassigned_count_per_core"),
-    ("test_fgp", "TestOeeRefine", "test_balance_preserved"),
+    ("test_fgp", "TestRoeeRefine", "test_balance_preserved"),
     ("test_fgp", "TestSubstitution", "test_fewer_infinite_cuts_always_win"),
     ("test_hungarian", "TestProperties", "test_global_shift_preserves_argmin"),
     ("test_hungarian", "TestProperties", "test_row_shift_preserves_argmin"),

@@ -16,17 +16,10 @@ from qcoremap import (
     minimum_communications,
     timeslice,
 )
-from qcoremap.hqa import (
-    UnfeasibleOp,
-    attraction_qubit,
-    collect_unfeasible,
-    cost_attraction,
-    cost_basic,
-    hqa_step,
-    parity_fix,
-)
+from qcoremap.hqa import UnfeasibleOp, collect_unfeasible, hqa_step, parity_fix
 
 from conftest import circuits
+from scalar_reference import attraction_qubit, cost_attraction, cost_basic
 
 
 def cx(a, b):
@@ -205,7 +198,7 @@ class TestCostMatrixConsistency:
 
         from qcoremap import gen_random
         from qcoremap.hqa import _attraction_matrix, _base_cost_matrix
-        from qcoremap.lookahead import lookahead_matrix
+        from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
 
         circuit = gen_random(8, cycles=6, p=0.5, seed=21)
         sliced = timeslice(circuit)
@@ -223,7 +216,7 @@ class TestCostMatrixConsistency:
             free = np.asarray(arch.capacities) - np.bincount(
                 residency[residency >= 0], minlength=arch.num_cores
             )
-            weights = lookahead_matrix(sliced, t)
+            weights = window_matrix(8, *pair_arrays(sliced), t, DEFAULT_HORIZON)
             base = _base_cost_matrix(ops, prev, free)
             pull = _attraction_matrix(ops, residency, weights, arch.num_cores)
             for i, op in enumerate(ops):

@@ -1,38 +1,31 @@
 """Cross-path equivalence: every kernel must agree exactly with its reference.
 
-fgp's numba kernel and its numpy fallback, the list-based Hungarian kernels
-and their array originals, and the vectorised look-ahead window and the
-scalar look-ahead definition. All weights are dyadic rationals and the
-Hungarian kernels repeat the same float operations in the same order, so
-results must be bit-identical."""
+fgp's exchange-selection kernel and its loop reference, the list-based
+Hungarian kernels and their array originals, and the vectorised look-ahead
+window and the scalar look-ahead definition. All weights are dyadic rationals
+and the Hungarian kernels repeat the same float operations in the same order,
+so results must be bit-identical."""
 
 import numpy as np
 import pytest
 
 import hungarian_reference as reference
-from qcoremap import fgp, hqa, lookahead
-from qcoremap.fgp import (
-    _part_sums,
-    _select_swap,
-    _select_swap_loops,
-    _select_swap_numpy,
-    _substitute,
-)
+import scalar_reference
+from fgp_reference import _select_swap_loops
+from qcoremap import hqa
+from qcoremap.fgp import _part_sums, _select_swap, _substitute
 from qcoremap.hungarian import TOL, _jv_square, _lex_canonical
 from qcoremap.lookahead import INFINITE, pair_arrays, window_matrix
 from qcoremap import (
     Architecture,
     HqaConfig,
-    InteractionGraph,
     gen_cuccaro,
     gen_ghz,
     gen_qft,
     gen_quantum_volume,
     gen_random,
     interacting_pairs,
-    lookahead_weight,
     map_circuit,
-    oee_refine,
     timeslice,
 )
 
@@ -53,17 +46,8 @@ def test_select_swap_paths_agree():
         weights, part, locked = random_partition_instance(rng)
         sums = _part_sums(weights, part, int(part.max()) + 1)
         loops = _select_swap_loops(weights, sums, part, locked)
-        vectorized = _select_swap_numpy(weights, sums, part, locked)
+        vectorized = _select_swap(weights, sums, part, locked)
         assert loops == vectorized
-
-
-def test_select_swap_dispatch_matches_loops():
-    rng = np.random.default_rng(13)
-    weights, part, locked = random_partition_instance(rng)
-    sums = _part_sums(weights, part, int(part.max()) + 1)
-    assert _select_swap(weights, sums, part, locked) == _select_swap_loops(
-        weights, sums, part, locked
-    )
 
 
 def dyadic_instance(rng, n, k, density=0.15):
@@ -78,7 +62,7 @@ def dyadic_instance(rng, n, k, density=0.15):
 
 def assert_kernel_matches_loops(weights, part, locked):
     sums = _part_sums(weights, part, int(part.max()) + 1)
-    assert _select_swap_numpy(weights, sums, part, locked) == _select_swap_loops(
+    assert _select_swap(weights, sums, part, locked) == _select_swap_loops(
         weights, sums, part, locked
     )
 
@@ -117,17 +101,8 @@ def test_select_swap_no_unlocked_cross_pair():
     one_part_free = part != 1
     one_node_free = np.arange(24) != 5
     for locked in (all_locked, one_part_free, one_node_free):
-        assert _select_swap_numpy(weights, sums, part, locked) == none
+        assert _select_swap(weights, sums, part, locked) == none
         assert _select_swap_loops(weights, sums, part, locked) == none
-
-
-def test_oee_refine_unchanged_by_kernel(monkeypatch):
-    rng = np.random.default_rng(16)
-    instances = [dyadic_instance(rng, 24, k, density=0.3) for k in (2, 3, 4, 6)]
-    refined = [oee_refine(InteractionGraph(24, w), p) for w, p in instances]
-    monkeypatch.setattr(fgp, "_select_swap", _select_swap_loops)
-    for (w, p), got in zip(instances, refined):
-        assert (oee_refine(InteractionGraph(24, w), p) == got).all()
 
 
 def bits(values):
@@ -203,7 +178,7 @@ def scalar_window(sliced, t, horizon):
     last = min(sliced.num_slices - 1, t + horizon)
     support = set().union(*(interacting_pairs(sliced.slices[m]) for m in range(t + 1, last + 1)))
     for a, b in support:
-        spec[a, b] = spec[b, a] = lookahead_weight(sliced, t, a, b, horizon)
+        spec[a, b] = spec[b, a] = scalar_reference.lookahead_weight(sliced, t, a, b, horizon)
     return spec
 
 
@@ -224,7 +199,9 @@ def test_window_matrix_matches_scalar_definition(circuit, monkeypatch):
     # so that the scalar definition runs at n = 120.
     sliced = timeslice(circuit)
     pair_sets = {id(gates): interacting_pairs(gates) for gates in sliced.slices}
-    monkeypatch.setattr(lookahead, "interacting_pairs", lambda gates: pair_sets[id(gates)])
+    monkeypatch.setattr(
+        scalar_reference, "interacting_pairs", lambda gates: pair_sets[id(gates)]
+    )
     pa, pb, offsets = pair_arrays(sliced)
     for horizon in (1, 4, 32):
         for t in range(-1, sliced.num_slices):

@@ -1,25 +1,21 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcoremap import (
-    Circuit,
-    Gate,
-    INFINITE,
-    build_interaction_graph,
-    lookahead_matrix,
-    lookahead_weight,
-    timeslice,
-)
+from qcoremap import INFINITE, Architecture, Circuit, Gate, fgp_map_circuit, timeslice
+from qcoremap import fgp
+from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
 
 from conftest import circuits
+from scalar_reference import lookahead_weight
 
 
 def cx(a, b):
     return Gate("cx", (a, b))
 
 
-def chain(n, pairs):
+def chain_circuit(n, pairs):
     """Circuit whose slice m contains exactly pairs[m], padded so every qubit
     acts in every slice and the layering is forced."""
     gates = []
@@ -31,7 +27,30 @@ def chain(n, pairs):
         for q in range(n):
             if q not in busy:
                 gates.append(Gate("h", (q,)))
-    return timeslice(Circuit(n, tuple(gates)))
+    return Circuit(n, tuple(gates))
+
+
+def chain(n, pairs):
+    return timeslice(chain_circuit(n, pairs))
+
+
+def window(sliced, t, horizon=DEFAULT_HORIZON):
+    return window_matrix(sliced.num_qubits, *pair_arrays(sliced), t, horizon)
+
+
+def refined_graphs(circuit, arch, monkeypatch):
+    """The interaction graphs fgp_map_circuit refines, one weight array per
+    slice it does not skip."""
+    graphs = []
+    refine = fgp.roee_refine
+
+    def recording(weights, initial):
+        graphs.append(weights.copy())
+        return refine(weights, initial)
+
+    monkeypatch.setattr(fgp, "roee_refine", recording)
+    fgp_map_circuit(circuit, arch)
+    return graphs
 
 
 class TestLookaheadWeight:
@@ -59,32 +78,31 @@ class TestLookaheadWeight:
 
 
 class TestInteractionGraph:
-    def test_current_slice_pair_is_infinite(self):
-        sliced = chain(4, [[(0, 1)]])
-        graph = build_interaction_graph(sliced, 0)
-        assert graph.weight(0, 1) == INFINITE
-        assert graph.edges() == {(0, 1): INFINITE}
+    # Pairs split by fgp's block start {0, 1} | {2, 3}, so the slice is refined.
+    def test_current_slice_pair_is_infinite(self, monkeypatch):
+        circuit = chain_circuit(4, [[(0, 2)], [(1, 3)]])
+        (graph,) = refined_graphs(circuit, Architecture(2, 2), monkeypatch)
+        assert graph[0, 2] == graph[2, 0] == INFINITE
 
     def test_future_pair_quarter_weight(self):
         sliced = chain(4, [[], [], [(2, 3)]])
-        graph = build_interaction_graph(sliced, 0)
-        assert graph.edges() == {(2, 3): 0.25}
+        expected = np.zeros((4, 4))
+        expected[2, 3] = expected[3, 2] = 0.25
+        assert (window(sliced, 0) == expected).all()
 
-    def test_last_slice_has_no_finite_edges(self):
-        sliced = chain(4, [[(0, 1)]])
-        graph = build_interaction_graph(sliced, 0)
-        assert graph.infinite_pairs() == {(0, 1)}
-        assert all(w == INFINITE for w in graph.edges().values())
+    def test_last_slice_has_no_finite_edges(self, monkeypatch):
+        circuit = chain_circuit(4, [[(0, 2)]])
+        assert not window(timeslice(circuit), 0).any()
+        (graph,) = refined_graphs(circuit, Architecture(2, 2), monkeypatch)
+        rows, cols = np.nonzero(graph)
+        assert list(zip(rows.tolist(), cols.tolist())) == [(0, 2), (2, 0)]
+        assert (graph[rows, cols] == INFINITE).all()
 
-    def test_infinite_overrides_future_weight(self):
-        sliced = chain(4, [[(0, 1)], [(0, 1)]])
-        graph = build_interaction_graph(sliced, 0)
-        assert graph.weight(0, 1) == INFINITE
-
-    def test_out_of_range_slice(self):
-        sliced = chain(2, [[]])
-        with pytest.raises(ValueError):
-            build_interaction_graph(sliced, 5)
+    def test_infinite_overrides_future_weight(self, monkeypatch):
+        circuit = chain_circuit(4, [[(0, 2)], [(0, 2)]])
+        assert window(timeslice(circuit), 0)[0, 2] == 0.5
+        (graph,) = refined_graphs(circuit, Architecture(2, 2), monkeypatch)
+        assert graph[0, 2] == graph[2, 0] == INFINITE
 
 
 class TestProperties:
@@ -94,7 +112,7 @@ class TestProperties:
         if sliced.num_slices == 0:
             return
         t = t % sliced.num_slices
-        weights = lookahead_matrix(sliced, t)
+        weights = window(sliced, t)
         assert (weights < 1.0).all()
         assert (weights >= 0.0).all()
 
@@ -103,7 +121,7 @@ class TestProperties:
         sliced = timeslice(circuit)
         if sliced.num_slices == 0:
             return
-        weights = lookahead_matrix(sliced, 0)
+        weights = window(sliced, 0)
         for qi in range(circuit.num_qubits):
             for qj in range(qi + 1, circuit.num_qubits):
                 assert weights[qi, qj] == lookahead_weight(sliced, 0, qi, qj)

@@ -66,7 +66,7 @@ class Assignment:
     core_of: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "core_of", tuple(int(c) for c in self.core_of))
+        object.__setattr__(self, "core_of", tuple(map(int, self.core_of)))
 
     @property
     def num_qubits(self) -> int:
@@ -115,8 +115,14 @@ def is_valid(assignment: Assignment, gates: Iterable[Gate], arch: Architecture) 
     loads = assignment.loads(arch.num_cores)
     if any(load > cap for load, cap in zip(loads, arch.capacities)):
         return False
+    return _pairs_co_located(core_of, gates)
+
+
+def _pairs_co_located(core_of: Sequence[int], gates: Iterable[Gate]) -> bool:
+    """True iff both qubits of every two-qubit gate share a core."""
     for g in gates:
-        if g.is_two_qubit and core_of[g.qubits[0]] != core_of[g.qubits[1]]:
+        qubits = g.qubits
+        if len(qubits) == 2 and core_of[qubits[0]] != core_of[qubits[1]]:
             return False
     return True
 
@@ -166,22 +172,34 @@ def count_communications(path: AssignmentPath | Sequence[Assignment]) -> int:
     """Total qubit relocations across consecutive assignments.
 
     The first assignment is the free initial layout; nothing is charged for it.
+    A slice that keeps the previous slice's assignment object moves nothing.
     """
     assignments = path.assignments if isinstance(path, AssignmentPath) else tuple(path)
     total = 0
     for before, after in zip(assignments, assignments[1:]):
-        total += moved_qubits(before, after)
+        if before is not after:
+            total += moved_qubits(before, after)
     return total
 
 
 def validate_path(path: AssignmentPath, sliced_slices, arch: Architecture) -> None:
     """Raise MappingValidationError unless every slice's assignment is valid
-    and places exactly the path's qubits."""
+    and places exactly the path's qubits.
+
+    Assignments are immutable, so when a slice reuses the previous slice's
+    assignment object, its range, length and capacity are already checked;
+    only the co-location of the new slice's pairs is.
+    """
     if path.num_slices != len(sliced_slices):
         raise MappingValidationError(
             f"path has {path.num_slices} assignments for {len(sliced_slices)} slices"
         )
+    checked = None
     for t, (assignment, gates) in enumerate(zip(path.assignments, sliced_slices)):
+        if assignment is checked:
+            if not _pairs_co_located(assignment.core_of, gates):
+                raise MappingValidationError(f"assignment for slice {t} is invalid")
+            continue
         if assignment.num_qubits != path.num_qubits:
             raise MappingValidationError(
                 f"assignment for slice {t} places {assignment.num_qubits} qubits, "
@@ -189,3 +207,4 @@ def validate_path(path: AssignmentPath, sliced_slices, arch: Architecture) -> No
             )
         if not is_valid(assignment, gates, arch):
             raise MappingValidationError(f"assignment for slice {t} is invalid")
+        checked = assignment

@@ -2,6 +2,9 @@
 
 Only the interaction structure matters to the mapping passes: gate labels and
 angles are opaque payload kept for serialization fidelity.
+
+Circuits and gates are immutable, so a circuit's timeslicing is computed once
+and kept on the circuit: every later ``timeslice`` call returns that object.
 """
 
 from __future__ import annotations
@@ -39,9 +42,25 @@ class Gate:
         return len(self.qubits) == 2
 
 
+def _unchecked_gate(label: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> Gate:
+    """A Gate built without ``__post_init__``, for a caller that has made its
+    checks: ``qubits`` is a tuple of one or two distinct non-negative indices
+    and ``params`` a tuple."""
+    gate = object.__new__(Gate)
+    fields = gate.__dict__
+    fields["label"] = label
+    fields["qubits"] = qubits
+    fields["params"] = params
+    return gate
+
+
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over ``num_qubits`` logical qubits."""
+    """An ordered gate list over ``num_qubits`` logical qubits.
+
+    ``timeslice`` stores its result in the instance ``__dict__`` under
+    ``_sliced``; it is not a field, so equality, hashing and ``repr`` ignore it.
+    """
 
     num_qubits: int
     gates: tuple[Gate, ...] = field(default_factory=tuple)
@@ -57,6 +76,16 @@ class Circuit:
     @property
     def two_qubit_count(self) -> int:
         return sum(1 for g in self.gates if g.is_two_qubit)
+
+
+def _unchecked_circuit(num_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
+    """A Circuit built without ``__post_init__``, for a caller that has checked
+    that ``num_qubits`` is positive and every gate's qubits lie below it."""
+    circuit = object.__new__(Circuit)
+    fields = circuit.__dict__
+    fields["num_qubits"] = num_qubits
+    fields["gates"] = gates
+    return circuit
 
 
 @dataclass(frozen=True)
@@ -79,18 +108,30 @@ def timeslice(circuit: Circuit) -> TimeslicedCircuit:
 
     Each gate lands in the earliest slice after the last slice that touched any
     of its qubits, so slices are disjoint, per-qubit order is preserved, and no
-    gate could be hoisted one slice earlier.
+    gate could be hoisted one slice earlier. The result is computed on the
+    first call for a circuit and returned again on every later call.
     """
+    cached = circuit.__dict__.get("_sliced")
+    if cached is not None:
+        return cached
     last = [-1] * circuit.num_qubits
     slices: list[list[Gate]] = []
     for g in circuit.gates:
-        s = 1 + max(last[q] for q in g.qubits)
+        qubits = g.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            s = 1 + (last[a] if last[a] > last[b] else last[b])
+            last[a] = last[b] = s
+        else:
+            s = 1 + last[qubits[0]]
+            last[qubits[0]] = s
         if s == len(slices):
-            slices.append([])
-        slices[s].append(g)
-        for q in g.qubits:
-            last[q] = s
-    return TimeslicedCircuit(circuit.num_qubits, tuple(tuple(s) for s in slices))
+            slices.append([g])
+        else:
+            slices[s].append(g)
+    sliced = TimeslicedCircuit(circuit.num_qubits, slices)
+    circuit.__dict__["_sliced"] = sliced
+    return sliced
 
 
 def interacting_pairs(gates) -> set[tuple[int, int]]:

@@ -9,6 +9,17 @@ in the target core and 2 otherwise; cores without two free slots are
 forbidden targets. Optionally, costs are reduced by the attraction each
 operation feels toward a core's remaining residents, weighted by how soon
 they interact.
+
+Odd or unequal capacities can leave operations pending while every core has
+at most one free slot. The step then evicts a qubit that no two-qubit gate of
+the slice uses from a core with one free slot into another such core (one
+relocation), which gives the first core room for a pair. When no such
+eviction exists, the slice is placed afresh from the incoming assignment:
+its pairs are matched to the ``floor(c_j / 2)`` pair slots of each core by
+relocation count, and every other qubit stays in its core while there is
+room. So the mapper raises only on infeasible input: when the qubits exceed
+the total capacity (``CapacityError``) or some slice has more two-qubit gates
+than ``sum_j floor(c_j / 2)`` (``MappingInfeasibleError``).
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ LIFTED = -1  # residency marker for qubits pulled out of their core
 
 
 class MappingInfeasibleError(RuntimeError):
-    """No core has room for a pending operation (odd capacity corner)."""
+    """A slice has more two-qubit gates than the cores can hold as pairs."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +162,9 @@ def hqa_step(
     Look-ahead weights for attraction are anchored at slice t, matching the
     decay seen by the transition being repaired. Placement base costs always
     read the incoming assignment: lifted qubits still physically sit in their
-    old core until the transition happens.
+    old core until the transition happens. When operations are pending and
+    no core has two free slots, an idle qubit is evicted to open one
+    (``_evict_idle``), or else the slice is placed afresh (``_replace_slice``).
     """
     gates = sliced.slices[t + 1]
     ops = collect_unfeasible(prev, gates)
@@ -175,10 +188,9 @@ def hqa_step(
     while remaining:
         available = int((free >= 2).sum())
         if available == 0:
-            raise MappingInfeasibleError(
-                f"no core has two free slots for {len(remaining)} pending operation(s); "
-                "odd-capacity saturated architectures can be genuinely unassignable"
-            )
+            if not _evict_idle(remaining[0], prev, gates, residency, free):
+                return _replace_slice(prev, gates, arch)
+            available = 1
         batch = remaining[: min(len(remaining), available)]
         cost = _base_cost_matrix(batch, prev, free)
         if weights is not None:
@@ -191,7 +203,90 @@ def hqa_step(
             residency[op.qb] = core
             free[core] -= 2
         remaining = remaining[len(batch):]
-    return Assignment(tuple(int(c) for c in residency))
+    return Assignment(tuple(residency.tolist()))
+
+
+def _evict_idle(
+    op: UnfeasibleOp, prev: Assignment, gates: Sequence[Gate], residency: np.ndarray, free: np.ndarray
+) -> bool:
+    """Move one resident that no two-qubit gate of the slice uses from a core
+    with one free slot into another such core, so the first can take a pair.
+
+    The source is an endpoint's home core of ``op`` when one qualifies, since
+    ``op`` then costs 1 there instead of 2, else the lowest qualifying core;
+    the evicted qubit is the lowest such resident, and the target the lowest
+    other core with one free slot, homes of ``op`` last. Returns False when
+    no such move exists.
+    """
+    open_cores = [int(c) for c in np.flatnonzero(free == 1)]
+    if len(open_cores) < 2:
+        return False
+    homes = {prev.core_of[op.qa], prev.core_of[op.qb]}
+    in_pairs = {q for g in gates if g.is_two_qubit for q in g.qubits}
+    for source in sorted(open_cores, key=lambda c: (c not in homes, c)):
+        idle = next(
+            (q for q in np.flatnonzero(residency == source).tolist() if q not in in_pairs), None
+        )
+        if idle is None:
+            continue
+        target = min((c for c in open_cores if c != source), key=lambda c: (c in homes, c))
+        residency[idle] = target
+        free[source] += 1
+        free[target] -= 1
+        return True
+    return False
+
+
+def _replace_slice(prev: Assignment, gates: Sequence[Gate], arch: Architecture) -> Assignment:
+    """Place slice ``gates`` afresh from ``prev``.
+
+    Each pair is matched to one of the ``floor(c_j / 2)`` pair slots of a
+    core at the cost of its relocations; then every other qubit stays in its
+    core while there is room, in qubit order, and the rest fill the lowest
+    cores with room.
+    """
+    caps = arch.capacities
+    core_of = prev.core_of
+    pairs = [g.qubits for g in gates if g.is_two_qubit]
+    slot_core = [core for core, cap in enumerate(caps) for _ in range(cap // 2)]
+    if len(pairs) > len(slot_core):
+        raise MappingInfeasibleError(
+            f"{len(pairs)} two-qubit gates exceed the {len(slot_core)} pair slots of the cores"
+        )
+    cost = [[(core_of[a] != core) + (core_of[b] != core) for core in slot_core] for a, b in pairs]
+    placed = list(core_of)
+    room = list(caps)
+    for (a, b), slot in zip(pairs, solve(cost).col_of_row):
+        placed[a] = placed[b] = slot_core[slot]
+        room[slot_core[slot]] -= 2
+    in_pairs = {q for pair in pairs for q in pair}
+    displaced = []
+    for q, core in enumerate(core_of):
+        if q in in_pairs:
+            continue
+        if room[core] > 0:
+            room[core] -= 1
+        else:
+            displaced.append(q)
+    for q in displaced:
+        core = next(c for c, r in enumerate(room) if r > 0)
+        placed[q] = core
+        room[core] -= 1
+    return Assignment(tuple(placed))
+
+
+def _check_pair_slots(offsets: np.ndarray, arch: Architecture) -> None:
+    """Raise MappingInfeasibleError if a slice has more two-qubit gates than
+    the cores can hold as co-located pairs, ``sum_j floor(c_j / 2)``."""
+    slots = sum(cap // 2 for cap in arch.capacities)
+    counts = np.diff(offsets)
+    over = np.flatnonzero(counts > slots)
+    if over.size:
+        t = int(over[0])
+        raise MappingInfeasibleError(
+            f"slice {t} has {int(counts[t])} two-qubit gates, but the cores hold at most "
+            f"{slots} co-located pairs (sum of floor(capacity / 2))"
+        )
 
 
 def map_circuit(
@@ -200,13 +295,17 @@ def map_circuit(
     """Produce one valid assignment per timeslice by repairing every transition.
 
     The slice-0 repair of the block layout is the free initial placement;
-    relocation counting starts at the transition into slice 1.
+    relocation counting starts at the transition into slice 1. Raises
+    CapacityError when the qubits exceed the total capacity and
+    MappingInfeasibleError when a slice has more two-qubit gates than
+    ``sum_j floor(c_j / 2)``; every other input is mapped.
     """
     sliced = timeslice(circuit)
     current = initial_assignment(circuit.num_qubits, arch)
     assignments: list[Assignment] = []
     if sliced.num_slices > 0:
         pairs = pair_arrays(sliced)
+        _check_pair_slots(pairs[2], arch)
         for t in range(-1, sliced.num_slices - 1):
             current = hqa_step(current, sliced, t, arch, config, _pairs=pairs)
             assignments.append(current)

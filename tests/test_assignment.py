@@ -109,6 +109,28 @@ class TestValidatePath:
         with pytest.raises(MappingValidationError):
             validate_path(path, self.slices(4, cx(0, 1)), Architecture(2, 2))
 
+    def test_shared_assignment_checked_on_every_slice(self):
+        # One object for three slices: valid for (0, 1), then (2, 3), but the
+        # third slice's pair (1, 2) is split, so the check must not be skipped.
+        shared = Assignment((0, 0, 1, 1))
+        path = AssignmentPath(4, 2, 2, (shared, shared, shared))
+        slices = self.slices(4, cx(0, 1), cx(2, 3), cx(1, 0), cx(1, 2))
+        assert len(slices) == 3
+        with pytest.raises(MappingValidationError, match="slice 2"):
+            validate_path(path, slices, Architecture(2, 2))
+
+    def test_shared_assignment_accepted(self):
+        shared = Assignment((0, 0, 1, 1))
+        path = AssignmentPath(4, 2, 2, (shared, shared))
+        validate_path(path, self.slices(4, cx(0, 1), cx(1, 0)), Architecture(2, 2))
+
+    def test_over_capacity_caught_after_shared_run(self):
+        shared = Assignment((0, 0, 1, 1))
+        path = AssignmentPath(4, 2, 2, (shared, shared, Assignment((0, 0, 0, 1))))
+        slices = self.slices(4, cx(0, 1), cx(1, 0), cx(0, 1))
+        with pytest.raises(MappingValidationError, match="slice 2"):
+            validate_path(path, slices, Architecture(2, 2))
+
 
 class TestCountCommunications:
     def test_identical_assignments_cost_nothing(self):
@@ -151,6 +173,31 @@ class TestCountCommunications:
             [Assignment(tuple(a)), Assignment(tuple(middle)), Assignment(tuple(b))]
         )
         assert detour >= direct
+
+
+class TestCountSharedAssignments:
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_equals_pairwise_definition(self, steps):
+        # Each step either reuses the previous object or builds a new one.
+        path = []
+        for reuse, row in steps:
+            path.append(path[-1] if reuse and path else Assignment(tuple(row)))
+        expected = sum(
+            sum(1 for a, b in zip(before.core_of, after.core_of) if a != b)
+            for before, after in zip(path, path[1:])
+        )
+        assert count_communications(path) == expected
+        rebuilt = [Assignment(a.core_of) for a in path]  # no shared objects
+        assert count_communications(rebuilt) == expected
 
 
 class TestPathJson:

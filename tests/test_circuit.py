@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -76,6 +78,35 @@ class TestTimeslice:
     def test_gates_conserved(self, circuit):
         sliced = timeslice(circuit)
         assert sum(len(s) for s in sliced.slices) == len(circuit.gates)
+
+
+class TestSliceCache:
+    def test_second_call_returns_the_same_object(self):
+        circuit = Circuit(4, (cx(0, 1), cx(2, 3), cx(1, 2)))
+        assert timeslice(circuit) is timeslice(circuit)
+
+    @given(circuits())
+    def test_cached_equals_fresh_slicing_of_equal_circuit(self, circuit):
+        first = timeslice(circuit)
+        twin = Circuit(circuit.num_qubits, tuple(circuit.gates))
+        assert twin is not circuit
+        assert timeslice(twin) == first
+        assert timeslice(circuit) is first
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        gates = (cx(0, 1), h(2), cx(1, 2))
+        sliced, plain = Circuit(3, gates), Circuit(3, gates)
+        timeslice(sliced)
+        assert sliced == plain
+        assert hash(sliced) == hash(plain)
+        assert repr(sliced) == repr(plain)
+
+    def test_pickle_round_trip(self):
+        circuit = gen_ghz(5)
+        timeslice(circuit)
+        restored = pickle.loads(pickle.dumps(circuit))
+        assert restored == circuit
+        assert timeslice(restored) == timeslice(Circuit(5, circuit.gates))
 
 
 class TestInteractingPairs:

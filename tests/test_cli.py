@@ -65,12 +65,12 @@ class TestMap:
         assert '"slices"' in out
 
     def test_infeasible_mapping_exits_one(self, tmp_path, capsys):
-        # Saturated odd capacity: the adder reaches an unassignable transition.
-        qasm = tmp_path / "adder.qasm"
-        main(["generate", "--family", "cuccaro", "--qubits", "6", "--out", str(qasm)])
+        # Three pairs in one slice, but two cores of capacity 3 hold two pairs.
+        qasm = tmp_path / "pairs.qasm"
+        qasm.write_text("qreg q[6];\ncx q[0],q[1];\ncx q[2],q[3];\ncx q[4],q[5];\n")
         code = main(["map", str(qasm), "--cores", "2", "--capacity", "3", "--mapper", "hqa"])
         assert code == 1
-        assert "free slots" in capsys.readouterr().err
+        assert "slice 0 has 3 two-qubit gates" in capsys.readouterr().err
 
 
 class TestOracle:

@@ -1,13 +1,17 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcoremap.hqa as hqa
 from qcoremap import (
     Architecture,
     Assignment,
+    CapacityError,
     Circuit,
     FORBIDDEN,
     Gate,
     HqaConfig,
+    MappingInfeasibleError,
     count_communications,
     gen_ghz,
     initial_assignment,
@@ -15,6 +19,7 @@ from qcoremap import (
     map_circuit,
     minimum_communications,
     timeslice,
+    validate_path,
 )
 from qcoremap.hqa import UnfeasibleOp, collect_unfeasible, hqa_step, parity_fix
 
@@ -339,3 +344,67 @@ class TestMapCircuit:
                 )
             moved = sum(1 for a, b in zip(before.core_of, after.core_of) if a != b)
             assert moved == expected_moves
+
+
+class TestTotalOnFeasibleInput:
+    """hqa raises only when the qubits exceed the total capacity or a slice
+    has more pairs than sum_j floor(c_j / 2); everything else is mapped."""
+
+    def test_smallest_former_failure(self):
+        circuit = Circuit(3, (cx(2, 1), cx(1, 0)))
+        arch = Architecture(2, 2, core_capacities=(2, 1))
+        path = map_circuit(circuit, arch)
+        validate_path(path, timeslice(circuit).slices, arch)
+        assert count_communications(path) >= 2
+        assert count_communications(path) >= minimum_communications(circuit, arch)
+
+    def test_idle_qubit_evicted_to_free_a_core(self):
+        # Both cores have one free slot once (2, 1) is lifted; idle qubit 0
+        # moves to core 1, so the pair fits in its endpoint's home core 0.
+        sliced = timeslice(Circuit(3, (cx(2, 1),)))
+        arch = Architecture(2, 2, core_capacities=(2, 1))
+        result = hqa_step(Assignment((0, 0, 1)), sliced, -1, arch)
+        assert result.core_of == (1, 0, 0)
+
+    def test_slice_placed_afresh_when_nothing_can_be_evicted(self, monkeypatch):
+        # Lifting (0, 1) leaves cores 0 and 1 empty with one slot each and
+        # core 2 full of idle qubits: no eviction opens a core, so the pair
+        # takes core 2's pair slot and its residents move out in order.
+        calls = []
+        original = hqa._replace_slice
+        monkeypatch.setattr(hqa, "_replace_slice", lambda *a: calls.append(1) or original(*a))
+        sliced = timeslice(Circuit(4, (cx(0, 1),)))
+        arch = Architecture(3, 2, core_capacities=(1, 1, 2))
+        result = hqa_step(Assignment((0, 1, 2, 2)), sliced, -1, arch)
+        assert calls == [1]
+        assert result.core_of == (2, 2, 0, 1)
+
+    def test_too_many_pairs_for_the_cores(self):
+        circuit = Circuit(6, (cx(0, 1), cx(2, 3), cx(4, 5)))
+        with pytest.raises(MappingInfeasibleError, match="slice 0 has 3 two-qubit gates.* at most 2"):
+            map_circuit(circuit, Architecture(2, 3))
+
+    def test_too_many_qubits_for_the_cores(self):
+        with pytest.raises(CapacityError):
+            map_circuit(Circuit(5, (cx(0, 1),)), Architecture(2, 2))
+
+    @given(
+        circuits(max_qubits=9, max_gates=16),
+        st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_maps_exactly_the_feasible_instances(self, circuit, caps, attraction):
+        arch = Architecture(len(caps), max(caps), core_capacities=tuple(caps))
+        sliced = timeslice(circuit)
+        slots = sum(c // 2 for c in caps)
+        feasible = sum(caps) >= circuit.num_qubits and all(
+            sum(1 for g in gates if g.is_two_qubit) <= slots for gates in sliced.slices
+        )
+        try:
+            path = map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
+        except (CapacityError, MappingInfeasibleError):
+            assert not feasible
+            return
+        assert feasible
+        validate_path(path, sliced.slices, arch)

@@ -1,8 +1,11 @@
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qasm_reference as reference
 from qcoremap import (
     BenchmarkSpec,
     Circuit,
@@ -13,6 +16,7 @@ from qcoremap import (
 )
 
 from conftest import circuits
+from qcoremap.qasm import ONE_QUBIT_GATES, TWO_QUBIT_GATES
 
 
 class TestParse:
@@ -125,3 +129,135 @@ class TestSerialize:
 def test_round_trip_every_generator(spec):
     circuit = spec.build()
     assert parse_qasm(serialize_qasm(circuit)) == circuit
+
+
+def _outcome(parse, text):
+    """The circuit's repr (exact float signs and digits) and the circuit, or
+    the exception's type, message, line and column."""
+    try:
+        circuit = parse(text)
+    except Exception as exc:  # the parsers must fail alike, whatever the type
+        return ("raised", type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return ("parsed", repr(circuit), circuit)
+
+
+def assert_parses_like_reference(text):
+    assert _outcome(parse_qasm, text) == _outcome(reference.parse_qasm, text)
+
+
+GATE_NAMES = sorted(ONE_QUBIT_GATES) + sorted(TWO_QUBIT_GATES)
+PARAMS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-05, -1e-05, 5e-324, 1e300, math.pi, -math.pi / 2]),
+)
+
+
+@st.composite
+def gate_circuits(draw):
+    """Circuits over every supported gate, with arbitrary finite parameters."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    gates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        name = draw(st.sampled_from(GATE_NAMES))
+        if name in TWO_QUBIT_GATES:
+            qubits = tuple(draw(st.permutations(range(n)))[:2])
+            count = TWO_QUBIT_GATES[name]
+        else:
+            qubits = (draw(st.integers(min_value=0, max_value=n - 1)),)
+            count = ONE_QUBIT_GATES[name]
+        gates.append(Gate(name, qubits, tuple(draw(PARAMS) for _ in range(count))))
+    return Circuit(n, tuple(gates))
+
+
+def _mutate(draw, lines: list[str]) -> None:
+    """Apply one edit that the fast lane must hand to the statement path,
+    or must handle exactly as the statement path does."""
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    line = lines[i]
+    at = draw(st.integers(min_value=0, max_value=len(line)))
+    kind = draw(st.sampled_from([
+        "space", "comment", "comment_line", "join", "split", "param", "qreg",
+        "index", "arity", "unknown", "duplicate", "char",
+    ]))
+    if kind == "space":
+        lines[i] = line[:at] + draw(st.sampled_from([" ", "  ", "\t"])) + line[at:]
+    elif kind == "comment":
+        lines[i] = line[:at] + "// note" + line[at:]
+    elif kind == "comment_line":
+        lines.insert(i, "// a comment; with a semicolon")
+    elif kind == "join" and i + 1 < len(lines):
+        lines[i : i + 2] = [line + draw(st.sampled_from(["", " "])) + lines[i + 1]]
+    elif kind == "split":
+        lines[i : i + 1] = [line[:at], line[at:]]
+    elif kind == "param" and "(" in line:
+        value = draw(st.sampled_from(["pi/2", "1e-05", "-0.0", "+.5", "5.", "1E+3", "- 1", "1_0", "inf"]))
+        lines[i] = line[: line.index("(") + 1] + value + line[line.index("(") + 1 :]
+    elif kind == "qreg":
+        lines.insert(i, "qreg r[3];")
+        lines.append(draw(st.sampled_from(["h r[2];", "cx r[0],q[0];", "cx q[0],r[3];"])))
+    elif kind == "index" and "[" in line:
+        index = draw(st.integers(min_value=0, max_value=13))  # widths are 2-12
+        lines[i] = re.sub(r"\[[0-9]+\]", f"[{index}]", line, count=1)
+    elif kind == "arity" and line.endswith("];"):
+        if "," in line and "(" not in line:
+            lines[i] = line[: line.index(",")] + ";"  # drop the second operand
+        else:
+            lines[i] = line[:-1] + ",q[0];"  # add one
+    elif kind == "unknown":
+        lines[i] = draw(st.sampled_from(["foo", "ccx", "CX", "h2"])) + line[line.find(" ") :]
+    elif kind == "duplicate" and "," in line and "(" not in line:
+        lines[i] = line[: line.index(",") + 1] + line[line.index(" ") + 1 : line.index(",")] + ";"
+    elif kind == "char":
+        lines[i] = line[:at] + draw(st.sampled_from(list("();,[]q0-+.e pi/"))) + line[at:]
+
+
+@st.composite
+def qasm_texts(draw):
+    """Serialized random circuits, some edited one to three times."""
+    lines = serialize_qasm(draw(gate_circuits())).split("\n")
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        _mutate(draw, lines)
+    return "\n".join(lines)
+
+
+class TestAgreesWithReference:
+    @given(qasm_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_circuit_or_same_error(self, text):
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "qreg q[2];\ncx q[0],q[1]; \nh q[5];",  # trailing space, then an error
+            "qreg q[2];\ncx q[0],\nq[1];\nh q[0];",
+            "qreg q[2]; h q[0];\nh q[1];",
+            "qreg q[2];\nrx(1//2) q[0];\nh q[0];",
+            "qreg q[2];\nrx(1/0) q[0];",
+            "qreg q[2];\nrx(--1) q[0];\nrx(1.e5) q[1];\nrx(.5e-3) q[1];",
+            "qreg q[2];\ncx() q[0],q[1];\nh() q[0];",
+            "qreg q[2];\nh q[01];\ncx q[1],q[1];",
+            "qreg q[2];\nh q[2];",
+            "qreg q[2];\nh q[0],q[1];\ncx q[0];",
+            "qreg q[2];\nu3(1.0) q[0];\nh(0.5) q[0];\nrx q[0];\nrx(1,2) q[0];\ncp(1) q[0];",
+            "qreg q[2];\n\u00a0h q[0];\nh\u00a0q[1];",
+            "qreg q[2];\nh q[\u0661];",
+            "h q[0];\nqreg q[2];",
+            "qreg q[2];\nqreg q[3];",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("family", ["ghz", "cuccaro", "qft", "quantum_volume", "grover", "random"])
+    def test_every_generator(self, family):
+        spec = BenchmarkSpec(
+            family,
+            24,
+            depth=4 if family == "quantum_volume" else None,
+            cycles=4 if family == "random" else None,
+            density=0.5 if family == "random" else None,
+            seed=7 if family in ("quantum_volume", "random") else None,
+        )
+        assert_parses_like_reference(serialize_qasm(spec.build()))

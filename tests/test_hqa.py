@@ -384,6 +384,14 @@ class TestTotalOnFeasibleInput:
         with pytest.raises(MappingInfeasibleError, match="slice 0 has 3 two-qubit gates.* at most 2"):
             map_circuit(circuit, Architecture(2, 3))
 
+    def test_step_on_too_many_pairs_raises(self):
+        # Called directly, past map_circuit's up-front check: two pairs fit,
+        # the third finds neither an eviction nor a pair slot.
+        sliced = timeslice(Circuit(6, (cx(0, 3), cx(1, 4), cx(2, 5))))
+        prev = Assignment((0, 0, 0, 1, 1, 1))
+        with pytest.raises(MappingInfeasibleError, match="3 two-qubit gates exceed the 2 pair slots"):
+            hqa_step(prev, sliced, -1, Architecture(2, 3))
+
     def test_too_many_qubits_for_the_cores(self):
         with pytest.raises(CapacityError):
             map_circuit(Circuit(5, (cx(0, 1),)), Architecture(2, 2))

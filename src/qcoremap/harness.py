@@ -171,13 +171,16 @@ def _mapper_comparison_sweep(
     records: list[RunRecord] = []
     ratio_rows: list[dict] = []
     for family, density in parse_benchmark_names(benchmarks):
+        circuits: dict[BenchmarkSpec, Circuit] = {}  # one build per run, shared by cells
         for num_qubits, num_cores in cells:
             capacity = _check_even_split(num_qubits, num_cores)
             arch = Architecture(num_cores, capacity)
             comms: dict[tuple[str, bool], list[int]] = {}
             for s in _seeds_for(family, seed, replicas):
                 spec = make_spec(family, density, num_qubits, s)
-                circuit = spec.build()
+                circuit = circuits.get(spec)
+                if circuit is None:
+                    circuit = circuits[spec] = spec.build()
                 for mapper in mappers:
                     modes = attraction_modes if mapper == MAPPER_HQA else [False]
                     for attraction in modes:

@@ -107,9 +107,13 @@ def parity_fix(
     for q in lifted:
         counts[core_of[q]] += 1
 
+    odd_residents: dict[int, list[int]] = {c: [] for c in range(num_cores) if counts[c] % 2}
+    for q, core in enumerate(core_of):
+        if core in odd_residents:
+            odd_residents[core].append(q)
     spares: list[tuple[int, int]] = []
-    for core in (c for c in range(num_cores) if counts[c] % 2):
-        residents = sorted(q for q in range(len(core_of)) if core_of[q] == core and q not in lifted)
+    for core, residents in odd_residents.items():
+        residents = [q for q in residents if q not in lifted]
         spare = next((q for q in residents if q not in acting), None)
         if spare is None:
             spare = next((q for q in residents if q not in in_two_qubit), None)
@@ -155,7 +159,6 @@ def hqa_step(
     t: int,
     arch: Architecture,
     config: HqaConfig = HqaConfig(),
-    _pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Assignment:
     """Repair the transition from slice t to slice t+1; t = -1 repairs slice 0.
 
@@ -181,8 +184,7 @@ def hqa_step(
 
     weights = None
     if config.use_attraction:
-        pa, pb, offsets = _pairs if _pairs is not None else pair_arrays(sliced)
-        weights = window_matrix(sliced.num_qubits, pa, pb, offsets, t, config.horizon)
+        weights = window_matrix(sliced.num_qubits, *pair_arrays(sliced), t, config.horizon)
 
     remaining = list(ops)
     while remaining:
@@ -304,10 +306,9 @@ def map_circuit(
     current = initial_assignment(circuit.num_qubits, arch)
     assignments: list[Assignment] = []
     if sliced.num_slices > 0:
-        pairs = pair_arrays(sliced)
-        _check_pair_slots(pairs[2], arch)
+        _check_pair_slots(pair_arrays(sliced)[2], arch)
         for t in range(-1, sliced.num_slices - 1):
-            current = hqa_step(current, sliced, t, arch, config, _pairs=pairs)
+            current = hqa_step(current, sliced, t, arch, config)
             assignments.append(current)
     return AssignmentPath(
         num_qubits=circuit.num_qubits,

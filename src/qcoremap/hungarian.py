@@ -2,8 +2,11 @@
 
 Cost matrices are float64 arrays; entries of +inf (FORBIDDEN) can never be
 selected and are handled natively rather than through a large finite constant,
-so dual potentials stay clean. Rows must not outnumber columns; rectangular
-inputs are padded internally with zero-cost dummy rows.
+so dual potentials stay clean. Rows must not outnumber columns. A rectangular
+r x k input is solved by augmenting its r rows only; the k - r columns no
+augmentation reaches stay unmatched with zero duals, so the zero-cost
+padding rows of the square problem are optimal on them without being
+augmented.
 
 Determinism contract: among all minimum-cost matchings, the one whose column
 sequence (col_of_row) is lexicographically smallest is returned. This is
@@ -39,25 +42,34 @@ class AssignmentSolution:
     total_cost: float
 
 
-def _jv_square(cost):
-    """Shortest-augmenting-path assignment on a square matrix.
+def _jv_rectangular(cost, k):
+    """Shortest-augmenting-path assignment of the r rows of ``cost`` to k >= r
+    columns.
 
-    ``cost`` is a list of rows of Python floats. Returns (status, col_of_row,
-    u, v) as lists; status 1 means no perfect matching avoids the +inf
-    entries. Column index n is a virtual start column.
+    ``cost`` is a list of r rows of k Python floats. Returns (status,
+    col_of_row, u, v) as lists, with u of length r and v of length k; status 1
+    means no full matching avoids the +inf entries. Column index k is a
+    virtual start column. A column that no augmentation reaches is never
+    matched and keeps v = 0, and every v is <= 0: so zero-cost padding rows
+    with u = 0 are dual-feasible, and tight exactly on the unmatched columns.
+    The float operations are the first r augmentations of a square solve on
+    the zero-padded matrix (``tests/hungarian_reference.py``). Where the
+    arithmetic is exact, as on integer and dyadic costs, that solve's
+    padding rows change no dual and take the unmatched columns in ascending
+    order; on rounded reals they can move a dual by a rounding error, far
+    inside TOL.
     """
-    n = len(cost)
+    r = len(cost)
     inf = FORBIDDEN
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [-1] * (n + 1)  # p[j] = row matched to column j
-    way = [0] * (n + 1)
-    col_of_row = [-1] * n
-    for i in range(n):
-        p[n] = i
-        j0 = n
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+    u = [0.0] * r
+    v = [0.0] * (k + 1)
+    p = [-1] * (k + 1)  # p[j] = row matched to column j
+    way = [0] * (k + 1)
+    for i in range(r):
+        p[k] = i
+        j0 = k
+        minv = [inf] * (k + 1)
+        used = [False] * (k + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
@@ -65,7 +77,7 @@ def _jv_square(cost):
             ui = u[i0]
             delta = inf
             j1 = -1
-            for j in range(n):
+            for j in range(k):
                 if not used[j]:
                     cur = row[j] - ui - v[j]
                     if cur < minv[j]:
@@ -75,8 +87,8 @@ def _jv_square(cost):
                         delta = minv[j]
                         j1 = j
             if j1 < 0:
-                return 1, col_of_row, u[:n], v[:n]
-            for j in range(n + 1):
+                return 1, [-1] * r, u, v[:k]
+            for j in range(k + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -85,13 +97,15 @@ def _jv_square(cost):
             j0 = j1
             if p[j0] < 0:
                 break
-        while j0 != n:  # augment along the alternating path
+        while j0 != k:  # augment along the alternating path
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    for j in range(n):
-        col_of_row[p[j]] = j
-    return 0, col_of_row, u[:n], v[:n]
+    col_of_row = [-1] * r
+    for j in range(k):
+        if p[j] >= 0:
+            col_of_row[p[j]] = j
+    return 0, col_of_row, u, v[:k]
 
 
 def _lex_canonical(cost, u, v, col_of_row, r, tol):
@@ -100,8 +114,8 @@ def _lex_canonical(cost, u, v, col_of_row, r, tol):
     Optimal matchings are exactly the perfect matchings of the tight subgraph
     (reduced cost <= tol) of the optimal duals. Rows 0..r-1 are fixed in
     ascending order to the smallest tight column that still leaves the rest
-    completable, checked by BFS augmentation. Works on the lists that
-    _jv_square returns and rewrites ``col_of_row`` in place.
+    completable, checked by BFS augmentation. Works on lists of a square
+    matrix and its duals and rewrites ``col_of_row`` in place.
     """
     n = len(cost)
     row_of_col = [-1] * n
@@ -200,12 +214,19 @@ def solve(costs) -> AssignmentSolution:
     r, k = m.shape
     if r > k:
         raise ValueError(f"rows must not outnumber columns, got {r}x{k}")
-    rows = m.tolist() + [[0.0] * k] * (k - r)  # padding rows are never written
-    status, col_of_row, u, v = _jv_square(rows)
+    rows = m.tolist()
+    status, col_of_row, u, v = _jv_rectangular(rows, k)
     if status != 0:
         raise InfeasibleMatrixError(
             "no full matching avoids the forbidden entries"
         )
+    if r < k:
+        # Zero-cost padding rows with u = 0 take the unmatched columns in
+        # ascending order; canonicalization runs on the padded square.
+        matched = set(col_of_row)
+        col_of_row += [j for j in range(k) if j not in matched]
+        u += [0.0] * (k - r)
+        rows += [[0.0] * k] * (k - r)  # padding rows are never written
     cols = tuple(_lex_canonical(rows, u, v, col_of_row, r, TOL)[:r])
     total = float(sum(m[i, c] for i, c in enumerate(cols)))
     return AssignmentSolution(cols, total)

@@ -16,10 +16,16 @@ DEFAULT_HORIZON = 32  # 2**-32 is far below any decision threshold
 
 
 def pair_arrays(sliced: TimeslicedCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten two-qubit gate endpoints into (a, b, slice_offsets) arrays.
+    """Flatten two-qubit gate endpoints into read-only (a, b, slice_offsets) arrays.
 
     slice_offsets has length T+1; slice m's pairs live at [offsets[m], offsets[m+1]).
+    The arrays are computed on the first call for a slicing and kept in its
+    ``__dict__`` under ``_pairs``, the way ``timeslice`` keeps its result on
+    the circuit, so both mappers share one flattening.
     """
+    cached = sliced.__dict__.get("_pairs")
+    if cached is not None:
+        return cached
     a_list: list[int] = []
     b_list: list[int] = []
     offsets = [0]
@@ -29,11 +35,15 @@ def pair_arrays(sliced: TimeslicedCircuit) -> tuple[np.ndarray, np.ndarray, np.n
                 a_list.append(g.qubits[0])
                 b_list.append(g.qubits[1])
         offsets.append(len(a_list))
-    return (
+    pairs = (
         np.asarray(a_list, dtype=np.int64),
         np.asarray(b_list, dtype=np.int64),
         np.asarray(offsets, dtype=np.int64),
     )
+    for array in pairs:
+        array.setflags(write=False)
+    sliced.__dict__["_pairs"] = pairs
+    return pairs
 
 
 def window_matrix(num_qubits, pa, pb, offsets, t, horizon) -> np.ndarray:

@@ -145,6 +145,8 @@ def _statements(text: str, gate_line):
         while line:
             if not pending:
                 stripped = line.lstrip()
+                if not stripped:
+                    break  # blank text starts no statement
                 pending_line = lineno
                 pending_col = col + (len(line) - len(stripped))
                 line = stripped

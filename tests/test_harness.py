@@ -113,6 +113,22 @@ class TestSweepShapes:
         assert len(ratios) == 1
         assert set(ratios[0]) >= {"comms_attraction_off", "comms_attraction_on"}
 
+    def test_each_circuit_built_once_per_sweep(self, monkeypatch):
+        # Every core column maps the same (family, qubits, seed) circuit.
+        built = []
+        build = BenchmarkSpec.build
+
+        def counting_build(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(BenchmarkSpec, "build", counting_build)
+        records, _ = sweep_cores(
+            benchmarks=("qft", "random:0.5"), num_qubits=8, core_counts=(2, 4), replicas=2
+        )
+        assert len(records) == (1 + 2) * 2 * 2  # circuits x cores x mappers
+        assert len(built) == len(set(built)) == 3
+
     def test_records_sorted_deterministically(self):
         records, _ = sweep_cores(
             benchmarks=("qft", "ghz"), num_qubits=8, core_counts=(4, 2), replicas=1

@@ -125,6 +125,59 @@ class TestParityFix:
                 counts[prev.core_of[q]] += 1
         assert all(c % 2 == 0 for c in counts)
 
+    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_ops_as_per_core_scan(self, caps, data):
+        # Odd, unequal and partly filled cores: the one-pass grouping of
+        # residents gives the ops, auxiliaries included, of a scan over every
+        # qubit per odd core.
+        slots = [core for core, cap in enumerate(caps) for _ in range(cap)]
+        n = data.draw(st.integers(min_value=2, max_value=len(slots)))
+        core_of = data.draw(st.permutations(slots))[:n]
+        prev = Assignment(tuple(core_of))
+        circuit = data.draw(circuits(max_qubits=n, max_gates=12))
+        sliced = timeslice(Circuit(n, circuit.gates))
+        if sliced.num_slices == 0:
+            return
+        gates = sliced.slices[0]
+        ops = collect_unfeasible(prev, gates)
+        assert parity_fix(ops, prev, gates, len(caps)) == parity_fix_per_core_scan(
+            ops, prev, gates, len(caps)
+        )
+
+
+def parity_fix_per_core_scan(ops, prev, gates, num_cores):
+    """``parity_fix`` as first written: every qubit is scanned once per odd core."""
+    core_of = prev.core_of
+    acting, in_two_qubit, partner_of = set(), set(), {}
+    for g in gates:
+        acting.update(g.qubits)
+        if g.is_two_qubit:
+            a, b = g.qubits
+            in_two_qubit.update((a, b))
+            partner_of[a], partner_of[b] = b, a
+    out = list(ops)
+    lifted = {q for op in out for q in op.qubits}
+    counts = [0] * num_cores
+    for q in lifted:
+        counts[core_of[q]] += 1
+    spares = []
+    for core in (c for c in range(num_cores) if counts[c] % 2):
+        residents = sorted(q for q in range(len(core_of)) if core_of[q] == core and q not in lifted)
+        spare = next((q for q in residents if q not in acting), None)
+        if spare is None:
+            spare = next((q for q in residents if q not in in_two_qubit), None)
+        if spare is None:
+            if residents:
+                q = residents[0]
+                out.append(UnfeasibleOp(q, partner_of[q], auxiliary=True))
+                lifted.update((q, partner_of[q]))
+            continue
+        spares.append((core, spare))
+    for (_, qa), (_, qb) in zip(spares[::2], spares[1::2]):
+        out.append(UnfeasibleOp(qa, qb, auxiliary=True))
+    return out
+
 
 class TestCosts:
     def test_home_core_costs_one(self):

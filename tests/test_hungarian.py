@@ -5,10 +5,37 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcoremap import InfeasibleMatrixError, shift_to_nonnegative, solve
+from qcoremap.hungarian import TOL, _jv_rectangular
 
+import hungarian_reference as reference
 from conftest import brute_force_assignment
 
 INF = float("inf")
+
+
+def padded_square_reference(m):
+    """The reference solve: the array square kernel and canonicalization on
+    m padded with zero-cost rows, first r columns; None when infeasible."""
+    r, k = m.shape
+    square = np.zeros((k, k))
+    square[:r] = m
+    status, cols, u, v = reference._jv_square(square)
+    if status:
+        return None
+    return tuple(reference._lex_canonical(square, u, v, cols, r, TOL)[:r].tolist())
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """r x k matrices, r <= k <= 8, of tied small costs, halves, reals and
+    +inf entries, dense enough in +inf that some have no full matching."""
+    k = draw(st.integers(1, 8))
+    r = draw(st.integers(1, k))
+    elements = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.5, INF, INF]),
+        st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+    )
+    return draw(arrays(np.float64, (r, k), elements=elements))
 
 
 class TestSolveExamples:
@@ -188,15 +215,46 @@ class TestProperties:
 
     def test_dual_feasibility_invariant(self):
         # Optimal duals support every optimal matching: reduced costs >= 0.
-        from qcoremap.hungarian import _jv_square
-
         rng = np.random.default_rng(3)
         for _ in range(30):
             m = rng.uniform(-2, 2, size=(5, 5))
-            status, col_of_row, u, v = _jv_square(m.tolist())
+            status, col_of_row, u, v = _jv_rectangular(m.tolist(), 5)
             assert status == 0
             u, v = np.asarray(u), np.asarray(v)
             reduced = m - u[:, None] - v[None, :]
             assert reduced.min() >= -1e-9
             for i, j in enumerate(col_of_row):
                 assert abs(reduced[i, j]) <= 1e-9
+
+    def test_dual_feasibility_invariant_rectangular(self):
+        # With r < k, zero-cost padding rows with u = 0 are feasible and tight
+        # exactly on the unmatched columns: every v <= 0, and v == 0 there.
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            k = int(rng.integers(2, 9))
+            r = int(rng.integers(1, k))
+            m = rng.uniform(-2, 2, size=(r, k))
+            status, col_of_row, u, v = _jv_rectangular(m.tolist(), k)
+            assert status == 0
+            assert len(u) == r and len(v) == k
+            u, v = np.asarray(u), np.asarray(v)
+            reduced = m - u[:, None] - v[None, :]
+            assert reduced.min() >= -1e-9
+            for i, j in enumerate(col_of_row):
+                assert abs(reduced[i, j]) <= 1e-9
+            assert (v <= 0.0).all()
+            unmatched = np.setdiff1d(np.arange(k), col_of_row)
+            assert len(unmatched) == k - r
+            assert (v[unmatched] == 0.0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rectangular_matrices())
+    def test_solve_equals_padded_square_reference(self, m):
+        want = padded_square_reference(m)
+        if want is None:
+            with pytest.raises(InfeasibleMatrixError):
+                solve(m)
+            return
+        sol = solve(m)
+        assert sol.col_of_row == want
+        assert sol.total_cost == float(sum(m[i, c] for i, c in enumerate(want)))

@@ -180,3 +180,27 @@ class TestProperties:
             assert fgp_map_circuit(circuit, arch, FgpConfig(horizon=32)) == fgp_map_circuit(
                 circuit, arch, FgpConfig(horizon=10_000)
             )
+
+
+class TestPairArraysCache:
+    def test_one_read_only_flattening_per_slicing(self):
+        circuit = Circuit(4, (Gate("cx", (0, 1)), Gate("h", (2,)), Gate("cx", (1, 3)), Gate("cx", (0, 2))))
+        sliced = timeslice(circuit)
+        pairs = pair_arrays(sliced)
+        assert pair_arrays(sliced) is pairs
+        assert sliced.__dict__["_pairs"] is pairs
+        for array in pairs:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        fresh = pair_arrays(timeslice(Circuit(4, circuit.gates)))
+        assert fresh is not pairs
+        assert all(np.array_equal(x, y) for x, y in zip(fresh, pairs))
+        assert [x.tolist() for x in pairs] == [[0, 1, 0], [1, 3, 2], [0, 1, 3]]
+
+    def test_cache_leaves_slicing_equality_alone(self):
+        circuit = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
+        sliced = timeslice(circuit)
+        plain = timeslice(Circuit(3, circuit.gates))
+        pair_arrays(sliced)
+        assert sliced == plain and hash(sliced) == hash(plain) and repr(sliced) == repr(plain)

@@ -16,6 +16,8 @@ from qcoremap import (
 )
 
 from conftest import circuits
+from qcoremap import qasm as qasm_module
+from qcoremap.circuit import _unchecked_gate
 from qcoremap.qasm import ONE_QUBIT_GATES, TWO_QUBIT_GATES
 
 
@@ -99,6 +101,28 @@ class TestParse:
         circuit = parse_qasm("qreg q[2];\ncx q[0],\n   q[1];")
         assert circuit.gates[0].qubits == (0, 1)
 
+    def test_trailing_blank_keeps_next_error_location(self):
+        # Blanks after a line's last ';' start no statement, so the error on
+        # the next line names that line, not the end of the blank one.
+        with pytest.raises(QasmError) as err:
+            parse_qasm("qreg q[2];\ncx q[0],q[1]; \nh q[5];")
+        assert (err.value.line, err.value.column) == (3, 1)
+        with pytest.raises(QasmError) as err:
+            parse_qasm("qreg q[2];\ncx q[0],q[1];\t \n\n  h q[5];")
+        assert (err.value.line, err.value.column) == (4, 3)
+
+    def test_line_after_trailing_blank_takes_fast_lane(self, monkeypatch):
+        built = []
+
+        def recording(label, qubits, params):
+            built.append((label, qubits))
+            return _unchecked_gate(label, qubits, params)
+
+        monkeypatch.setattr(qasm_module, "_unchecked_gate", recording)
+        circuit = parse_qasm("qreg q[2];\ncx q[0],q[1]; \nh q[1];\n")
+        assert [(g.label, g.qubits) for g in circuit.gates] == [("cx", (0, 1)), ("h", (1,))]
+        assert built == [("h", (1,))]  # the trailing-blank line took the statement path
+
 
 class TestSerialize:
     def test_canonical_form(self):
@@ -178,10 +202,12 @@ def _mutate(draw, lines: list[str]) -> None:
     at = draw(st.integers(min_value=0, max_value=len(line)))
     kind = draw(st.sampled_from([
         "space", "comment", "comment_line", "join", "split", "param", "qreg",
-        "index", "arity", "unknown", "duplicate", "char",
+        "index", "arity", "unknown", "duplicate", "char", "trailing",
     ]))
     if kind == "space":
         lines[i] = line[:at] + draw(st.sampled_from([" ", "  ", "\t"])) + line[at:]
+    elif kind == "trailing":
+        lines[i] = line + draw(st.sampled_from([" ", "\t", " ; ", "; "]))
     elif kind == "comment":
         lines[i] = line[:at] + "// note" + line[at:]
     elif kind == "comment_line":

@@ -171,16 +171,21 @@ def _mapper_comparison_sweep(
     records: list[RunRecord] = []
     ratio_rows: list[dict] = []
     for family, density in parse_benchmark_names(benchmarks):
-        circuits: dict[BenchmarkSpec, Circuit] = {}  # one build per run, shared by cells
-        for num_qubits, num_cores in cells:
+        # Each circuit is built once and kept only while a later cell of the
+        # same qubit count will map it again.
+        circuits: dict[BenchmarkSpec, Circuit] = {}
+        for i, (num_qubits, num_cores) in enumerate(cells):
+            needed_later = any(q == num_qubits for q, _ in cells[i + 1 :])
             capacity = _check_even_split(num_qubits, num_cores)
             arch = Architecture(num_cores, capacity)
             comms: dict[tuple[str, bool], list[int]] = {}
             for s in _seeds_for(family, seed, replicas):
                 spec = make_spec(family, density, num_qubits, s)
-                circuit = circuits.get(spec)
+                circuit = circuits.pop(spec, None)
                 if circuit is None:
-                    circuit = circuits[spec] = spec.build()
+                    circuit = spec.build()
+                if needed_later:
+                    circuits[spec] = circuit
                 for mapper in mappers:
                     modes = attraction_modes if mapper == MAPPER_HQA else [False]
                     for attraction in modes:

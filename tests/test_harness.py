@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from qcoremap import Architecture, BenchmarkSpec
@@ -128,6 +131,26 @@ class TestSweepShapes:
         )
         assert len(records) == (1 + 2) * 2 * 2  # circuits x cores x mappers
         assert len(built) == len(set(built)) == 3
+
+    def test_qubit_sweep_keeps_no_circuit_of_an_earlier_qubit_count(self, monkeypatch):
+        # No later cell asks for them, so they must not live to the end of the family.
+        built = []
+        alive_at_build = []
+        build = BenchmarkSpec.build
+
+        def tracking_build(spec):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            circuit = build(spec)
+            built.append(weakref.ref(circuit))
+            return circuit
+
+        monkeypatch.setattr(BenchmarkSpec, "build", tracking_build)
+        sweep_qubits(
+            benchmarks=("random:0.5",), num_cores=2, qubit_counts=(8, 12, 16, 20), replicas=2
+        )
+        assert len(built) == 8
+        assert max(alive_at_build) <= 1  # at most the circuit of the call just made
 
     def test_records_sorted_deterministically(self):
         records, _ = sweep_cores(

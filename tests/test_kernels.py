@@ -3,9 +3,10 @@
 fgp's exchange-selection kernel and its loop reference, the list-based
 rectangular Hungarian kernel and the array square kernel on the zero-padded
 matrix, and the vectorised look-ahead window and the scalar look-ahead
-definition. All weights are dyadic rationals and the Hungarian kernels repeat
-the same float operations in the same order, so results must be
-bit-identical."""
+definition. The kernels repeat their references' float operations in the same
+order, so results must be bit-identical wherever the arithmetic is exact, as
+on the dyadic weights the mappers produce; on rounded real costs the Hungarian
+matchings must still agree."""
 
 import numpy as np
 import pytest

@@ -102,6 +102,13 @@ class TimeslicedCircuit:
     def num_slices(self) -> int:
         return len(self.slices)
 
+    def __getstate__(self):
+        # The pair arrays kept by lookahead.pair_arrays are read-only, and
+        # unpickled arrays are not: drop them so a copy flattens afresh.
+        state = dict(self.__dict__)
+        state.pop("_pairs", None)
+        return state
+
 
 def timeslice(circuit: Circuit) -> TimeslicedCircuit:
     """Layer gates greedily as-soon-as-possible.

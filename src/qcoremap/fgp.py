@@ -9,11 +9,13 @@ gain arithmetic as a finite dominant constant M (total finite weight + 1) so
 that uncutting one always beats any finite rearrangement; validity itself is
 always re-checked structurally.
 
-Two shortcuts keep the per-slice cost low without changing any result. The
-exchange kernel evaluates gains only on the block of still-unlocked nodes,
-which shrinks by two with every swap of a pass. And a slice whose pairs the
-incoming partition already co-locates is passed through without building its
-interaction graph, since the relaxed refinement would return it unchanged.
+Two shortcuts keep the per-slice cost low without changing any result. A
+pass keeps one matrix of exchange gains over all node pairs: a swap changes
+the part sums only in the two parts it touches, so only the gains with an
+endpoint in those parts are recomputed (the incremental gains of
+Kernighan-Lin). And a slice whose pairs the incoming partition already
+co-locates is passed through without building its interaction graph, since
+the relaxed refinement would return it unchanged.
 """
 
 from __future__ import annotations
@@ -40,58 +42,16 @@ class FgpConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
-_LOWER = np.zeros((0, 0), dtype=bool)
-
-
-def _lower_with_diagonal(m: int) -> np.ndarray:
-    """Mask of the entries on or below the diagonal of an m x m matrix.
-
-    The top-left m x m block of a larger such mask is itself one, so a single
-    cached mask of the largest size seen so far serves every call as a view.
-    """
-    global _LOWER
-    if _LOWER.shape[0] < m:
-        mask = np.tril(np.ones((m, m), dtype=bool))
-        mask.flags.writeable = False
-        _LOWER = mask
-    return _LOWER[:m, :m]
-
-
-def _select_swap(sub_w, part_sums, part, locked):
-    # Works on the block of unlocked nodes only: locked rows and columns can
-    # never be chosen, so they are not computed. The gain of swapping u and v
-    # across parts pu != pv is
-    #   (part_sums[u, pv] - part_sums[u, pu]) + (part_sums[v, pu] - part_sums[v, pv])
-    #   - 2 * sub_w[u, v],
-    # evaluated in that order. The unlocked indices ascend, so the first
-    # row-major argmax in the block is the lexicographically smallest
-    # maximizing pair (u < v).
-    free = np.flatnonzero(~locked)
-    m = free.shape[0]
-    free_part = part[free]
-    # toward[i, j] = sum of free[i]'s edges into free[j]'s part; the diagonal
-    # is each node's sum into its own part.
-    toward = part_sums[free][:, free_part]
-    a = toward - toward.diagonal()[:, None]
-    gains = a + a.T
-    gains -= 2.0 * sub_w[free][:, free]
-    blocked = free_part[:, None] == free_part[None, :]
-    blocked |= _lower_with_diagonal(m)
-    if blocked.all():
-        return -1, -1, -np.inf
-    np.putmask(gains, blocked, -np.inf)
-    i, j = divmod(int(np.argmax(gains)), m)
-    return int(free[i]), int(free[j]), float(gains[i, j])
-
-
 def _substitute(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replace infinite entries by the dominant finite constant M."""
     infinite = np.isinf(weights)
     finite_total = weights[~infinite].sum()
     dominant = finite_total / 2.0 + 1.0  # edge sums count both triangle halves
     sub = np.where(infinite, dominant, weights)
-    ia, ib = np.nonzero(np.triu(infinite, k=1))
-    return sub, ia.astype(np.int64), ib.astype(np.int64)
+    # The infinite pairs u < v in row-major order.
+    ia, ib = np.divmod(np.flatnonzero(infinite), weights.shape[1])
+    upper = ia < ib
+    return sub, ia[upper], ib[upper]
 
 
 def _part_sums(sub_w: np.ndarray, part: np.ndarray, num_parts: int) -> np.ndarray:
@@ -112,37 +72,78 @@ def _cut_infinite(part, inf_a, inf_b) -> int:
     return int(np.count_nonzero(part[inf_a] != part[inf_b]))
 
 
+def _gain_rows(part_sums, part, locked, twice_w, rows):
+    """Exchange gains of each node in ``rows`` against every node.
+
+    The gain of swapping u and v across parts pu != pv is
+      (part_sums[u, pv] - part_sums[u, pu]) + (part_sums[v, pu] - part_sums[v, pv])
+      - 2 * sub_w[u, v],
+    evaluated in that order. It is -inf where u and v share a part and
+    wherever either is locked.
+    """
+    # d[u, q] = part_sums[u, q] - part_sums[u, part[u]], what moving u alone
+    # into part q gains; -inf on u's own part and, through an own-part sum of
+    # +inf, on a locked u's row.
+    nodes = np.arange(part.shape[0])
+    own = part_sums[nodes, part]
+    own[locked] = np.inf
+    d = part_sums - own[:, None]
+    d[nodes, part] = -np.inf
+    gains = d[rows].take(part, axis=1)
+    gains += d.T[part[rows]]
+    gains -= twice_w[rows]
+    return gains
+
+
 def roee_refine(weights: np.ndarray, initial):
     """Relaxed refinement: swap best-gain pairs until no infinite edge is cut.
 
     ``weights`` is a symmetric float array over every slot of the partition,
     dummy slots included: 0 for no edge, a finite look-ahead weight, or
     INFINITE for a pair that must share a part. ``initial`` gives each slot's
-    part, with all parts the same size.
+    part, with all parts the same size. Weights that are not exactly
+    symmetric raise ValueError.
+
+    Each pass builds one n x n matrix of exchange gains, -inf on same-part
+    and locked pairs, and takes the first row-major argmax as its next swap:
+    the matrix is symmetric, so that is the lexicographically smallest
+    maximizing pair (u < v). A swap of u and v changes the part sums only in
+    their two parts, so only the gains of nodes in those parts are rewritten,
+    row and mirrored column; u and v are locked. The pass ends when no
+    finite gain is left.
 
     Returns ``initial`` unchanged when it is already valid. A pass that ends
     without validity is committed whole and a fresh pass starts; after
     2 * len(initial) passes ValidityUnreachableError is raised.
     """
+    if not np.array_equal(weights, weights.T):
+        raise ValueError("weights must be symmetric")
     part = np.asarray(initial, dtype=np.int64).copy()
     k = int(part.max()) + 1
     sub_w, inf_a, inf_b = _substitute(weights)
     if _cut_infinite(part, inf_a, inf_b) == 0:
         return part
-    cap = 2 * part.shape[0]
+    n = part.shape[0]
+    cap = 2 * n
+    twice_w = 2.0 * sub_w
     part_sums = _part_sums(sub_w, part, k)
-    locked = np.zeros(part.shape[0], dtype=bool)
-    passes = 0
-    while passes < cap:
-        u, v, _ = _select_swap(sub_w, part_sums, part, locked)
-        if u < 0:
-            passes += 1
-            locked[:] = False
-            continue
-        _apply_swap(sub_w, part_sums, part, u, v)
-        locked[u] = locked[v] = True
-        if _cut_infinite(part, inf_a, inf_b) == 0:
-            return part
+    for _ in range(cap):
+        locked = np.zeros(n, dtype=bool)
+        gains = _gain_rows(part_sums, part, locked, twice_w, np.arange(n))
+        while True:
+            u, v = divmod(int(gains.argmax()), n)
+            if gains[u, v] == -np.inf:
+                break
+            pu, pv = part[u], part[v]
+            _apply_swap(sub_w, part_sums, part, u, v)
+            if _cut_infinite(part, inf_a, inf_b) == 0:
+                return part
+            # Unlocked before this swap: the rows of u and v turn to -inf.
+            rows = (((part == pu) | (part == pv)) & ~locked).nonzero()[0]
+            locked[u] = locked[v] = True
+            block = _gain_rows(part_sums, part, locked, twice_w, rows)
+            gains[rows] = block
+            gains[:, rows] = block.T
     raise ValidityUnreachableError(
         f"no valid partition reached within {cap} exchange passes"
     )

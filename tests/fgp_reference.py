@@ -1,38 +1,76 @@
-"""Reference exchange-selection kernel for fgp, as a plain double loop.
+"""Reference refinement for fgp, with its exchange selection as a plain double
+loop.
 
-This is the former loop kernel behind ``qcoremap.fgp._select_swap``, kept
-unchanged as the reference that ``tests/test_kernels.py`` compares the
-vectorised kernel against. It scans pairs u < v in row-major order and keeps
-the first strict maximum, so it returns the lexicographically smallest
-maximizing pair; the gains repeat the kernel's float operations in the same
-order, so results must be identical.
+``_select_swap_loops`` is the former loop kernel of ``qcoremap.fgp``, and
+``roee_refine_loops`` the former driver that called it once per swap,
+recomputing every gain from the part sums. ``tests/test_kernels.py`` compares
+``qcoremap.fgp.roee_refine`` against it. The selection scans pairs u < v in
+row-major order and keeps the first strict maximum, so it returns the
+lexicographically smallest maximizing pair; the gains repeat the refinement's
+float operations in the same order, so partitions must be identical.
 """
 
 import numpy as np
 
+from qcoremap.fgp import (
+    ValidityUnreachableError,
+    _apply_swap,
+    _cut_infinite,
+    _part_sums,
+    _substitute,
+)
+
 
 def _select_swap_loops(sub_w, part_sums, part, locked):
-    n = part.shape[0]
+    """The first strict maximum of the exchange gain over pairs u < v of
+    unlocked nodes in different parts, scanned in row-major order; (-1, -1,
+    -inf) when there is none. Takes nested lists."""
+    free = [u for u in range(len(part)) if not locked[u]]
     best_u = -1
     best_v = -1
     best_gain = -np.inf
-    for u in range(n):
-        if locked[u]:
-            continue
+    for i, u in enumerate(free):
         pu = part[u]
-        for v in range(u + 1, n):
-            if locked[v]:
-                continue
+        sums_u = part_sums[u]
+        w_u = sub_w[u]
+        for v in free[i + 1:]:
             pv = part[v]
             if pv == pu:
                 continue
             gain = (
-                (part_sums[u, pv] - part_sums[u, pu])
-                + (part_sums[v, pu] - part_sums[v, pv])
-                - 2.0 * sub_w[u, v]
+                (sums_u[pv] - sums_u[pu])
+                + (part_sums[v][pu] - part_sums[v][pv])
+                - 2.0 * w_u[v]
             )
             if gain > best_gain:
                 best_gain = gain
                 best_u = u
                 best_v = v
     return best_u, best_v, best_gain
+
+
+def roee_refine_loops(weights, initial):
+    """``qcoremap.fgp.roee_refine`` with one loop selection per swap."""
+    part = np.asarray(initial, dtype=np.int64).copy()
+    k = int(part.max()) + 1
+    sub_w, inf_a, inf_b = _substitute(weights)
+    if _cut_infinite(part, inf_a, inf_b) == 0:
+        return part
+    cap = 2 * part.shape[0]
+    part_sums = _part_sums(sub_w, part, k)
+    locked = np.zeros(part.shape[0], dtype=bool)
+    sub_rows = sub_w.tolist()
+    passes = 0
+    while passes < cap:
+        u, v, _ = _select_swap_loops(sub_rows, part_sums.tolist(), part.tolist(), locked.tolist())
+        if u < 0:
+            passes += 1
+            locked[:] = False
+            continue
+        _apply_swap(sub_w, part_sums, part, u, v)
+        locked[u] = locked[v] = True
+        if _cut_infinite(part, inf_a, inf_b) == 0:
+            return part
+    raise ValidityUnreachableError(
+        f"no valid partition reached within {cap} exchange passes"
+    )

@@ -80,6 +80,19 @@ class TestRoeeRefine:
         with pytest.raises(ValidityUnreachableError):
             roee_refine(graph, broken)
 
+    def test_asymmetric_weights_rejected(self):
+        # Gains are read from one orientation and mirrored, so the weights
+        # must be exactly symmetric.
+        graph = graph_from_edges(4, {(0, 2): INFINITE, (1, 3): 0.5})
+        roee_refine(graph, [0, 0, 1, 1])
+        for a, b, w in ((1, 3, 0.25), (1, 2, 0.5), (2, 0, 0.0), (0, 2, np.nan)):
+            skewed = graph.copy()
+            skewed[a, b] = w
+            with pytest.raises(ValueError, match="symmetric"):
+                roee_refine(skewed, [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="symmetric"):
+            roee_refine(np.zeros((4, 3)), [0, 0, 1, 1])
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(min_value=2, max_value=4),

@@ -1,6 +1,6 @@
 """Cross-path equivalence: every kernel must agree exactly with its reference.
 
-fgp's exchange-selection kernel and its loop reference, the list-based
+fgp's refinement and its reference with a loop selection per swap, the list-based
 rectangular Hungarian kernel and the array square kernel on the zero-padded
 matrix, and the vectorised look-ahead window and the scalar look-ahead
 definition. The kernels repeat their references' float operations in the same
@@ -10,12 +10,15 @@ matchings must still agree."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fgp_reference
 import hungarian_reference as reference
 import scalar_reference
-from fgp_reference import _select_swap_loops
-from qcoremap import hqa
-from qcoremap.fgp import _part_sums, _select_swap, _substitute
+from fgp_reference import roee_refine_loops
+from qcoremap import fgp, hqa
+from qcoremap.fgp import ValidityUnreachableError, fgp_map_circuit, roee_refine
 from qcoremap.hungarian import TOL, _jv_rectangular, _lex_canonical, solve
 from qcoremap.lookahead import INFINITE, pair_arrays, window_matrix
 from qcoremap import (
@@ -32,79 +35,148 @@ from qcoremap import (
 )
 
 
-def random_partition_instance(rng, n=12, k=3):
-    weights = rng.integers(0, 8, size=(n, n)).astype(float) / 8.0
-    weights = np.triu(weights, k=1)
-    weights += weights.T
-    part = np.repeat(np.arange(k), n // k).astype(np.int64)
-    rng.shuffle(part)
-    locked = rng.random(n) < 0.2
-    return weights, part, locked
+def refine_outcome(refine, weights, initial):
+    """The refined partition's bits, or the name of the error raised."""
+    try:
+        return refine(weights, initial).tobytes()
+    except ValidityUnreachableError as error:
+        return type(error).__name__
 
 
-def test_select_swap_paths_agree():
-    rng = np.random.default_rng(12)
-    for _ in range(60):
-        weights, part, locked = random_partition_instance(rng)
-        sums = _part_sums(weights, part, int(part.max()) + 1)
-        loops = _select_swap_loops(weights, sums, part, locked)
-        vectorized = _select_swap(weights, sums, part, locked)
-        assert loops == vectorized
+def assert_refine_matches_loops(weights, initial):
+    got = refine_outcome(roee_refine, weights, initial)
+    assert got == refine_outcome(roee_refine_loops, weights, initial)
+    return got
 
 
-def dyadic_instance(rng, n, k, density=0.15):
-    """Sparse weights from {1/4, 1/2, 1}: many exactly tied gains."""
+@pytest.fixture
+def pass_ends(monkeypatch):
+    """Counts the passes the loop reference ran to the end."""
+    ends = [0]
+    select = fgp_reference._select_swap_loops
+
+    def counting(*args):
+        found = select(*args)
+        ends[0] += found[0] < 0
+        return found
+
+    monkeypatch.setattr(fgp_reference, "_select_swap_loops", counting)
+    return ends
+
+
+def dyadic_refine_instance(rng, n, k, num_pairs, density=0.15):
+    """Sparse weights from {1/4, 1/2, 1}, so many gains tie exactly, with
+    num_pairs disjoint infinite pairs and a shuffled balanced start."""
     weights = rng.choice([0.25, 0.5, 1.0], size=(n, n)) * (rng.random((n, n)) < density)
     weights = np.triu(weights, k=1)
     weights += weights.T
+    order = rng.permutation(n)
+    for i in range(num_pairs):
+        a, b = order[2 * i], order[2 * i + 1]
+        weights[a, b] = weights[b, a] = INFINITE
     part = np.repeat(np.arange(k), n // k).astype(np.int64)
     rng.shuffle(part)
     return weights, part
 
 
-def assert_kernel_matches_loops(weights, part, locked):
-    sums = _part_sums(weights, part, int(part.max()) + 1)
-    assert _select_swap(weights, sums, part, locked) == _select_swap_loops(
-        weights, sums, part, locked
-    )
-
-
 @pytest.mark.parametrize("k", [2, 12])
-def test_select_swap_mapper_sized_dyadic_ties(k):
+def test_refine_matches_loops_on_dyadic_ties(k, pass_ends):
+    # At k = 12 some starts need a second or third pass. At k = 2 none can:
+    # a pass that runs out has moved every node once, which only swaps the
+    # two labels.
     rng = np.random.default_rng(100 + k)
-    for locked_frac in (0.0, 0.1, 0.5, 0.9):
-        weights, part = dyadic_instance(rng, 120, k)
-        assert_kernel_matches_loops(weights, part, rng.random(120) < locked_frac)
+    passes = []
+    for _ in range(3):
+        for num_pairs in (10, 30, 60):
+            for density in (0.0, 0.15, 0.5):
+                pass_ends[0] = 0
+                weights, part = dyadic_refine_instance(rng, 120, k, num_pairs, density)
+                assert_refine_matches_loops(weights, part)
+                passes.append(pass_ends[0])
+    assert max(passes) >= (1 if k == 12 else 0)
+
+
+def refine_inputs(circuit, arch, monkeypatch):
+    """The (weights, initial) pairs fgp_map_circuit refines."""
+    inputs = []
+
+    def recording(weights, initial):
+        inputs.append((weights.copy(), np.array(initial)))
+        return roee_refine(weights, initial)
+
+    monkeypatch.setattr(fgp, "roee_refine", recording)
+    fgp_map_circuit(circuit, arch)
+    monkeypatch.setattr(fgp, "roee_refine", roee_refine)
+    return inputs
 
 
 @pytest.mark.parametrize("k", [2, 12])
-def test_select_swap_on_substituted_slice_graphs(k):
-    # The weights the mapper refines: a look-ahead window plus the current
-    # slice's pairs at the dominant constant, on a scrambled balanced start.
-    sliced = timeslice(gen_qft(120))
-    pa, pb, offsets = pair_arrays(sliced)
-    rng = np.random.default_rng(7 * k)
-    for t in (0, 40, 200):
-        weights = window_matrix(120, pa, pb, offsets, t, 32)
-        a, b = pa[offsets[t]:offsets[t + 1]], pb[offsets[t]:offsets[t + 1]]
-        weights[a, b] = weights[b, a] = INFINITE
-        sub, _, _ = _substitute(weights)
-        part = np.repeat(np.arange(k), 120 // k).astype(np.int64)
-        rng.shuffle(part)
-        assert_kernel_matches_loops(sub, part, rng.random(120) < 0.3)
+def test_refine_matches_loops_on_mapper_graphs(k, monkeypatch):
+    # The look-ahead window plus the current pairs at INFINITE, from the
+    # partition the previous slice left. qft on 12 x 10 refines 227 graphs;
+    # every fourth keeps the loop reference within a few seconds.
+    arch = Architecture(k, 120 // k)
+    qft = refine_inputs(gen_qft(120), arch, monkeypatch)
+    rand = refine_inputs(gen_random(120, 12, 0.5, 5), arch, monkeypatch)
+    inputs = qft[:: 1 if k == 2 else 4] + rand
+    assert len(inputs) > 40
+    for weights, initial in inputs:
+        assert_refine_matches_loops(weights, initial)
 
 
-def test_select_swap_no_unlocked_cross_pair():
+@pytest.mark.parametrize("index", range(4))
+def test_refine_matches_loops_on_dummy_padded_graphs(index, monkeypatch):
+    # 12 qubits on 3 x 6: six zero-weight dummy slots pad each graph.
+    circuit = [
+        gen_qft(12),
+        gen_cuccaro(5),
+        gen_quantum_volume(12, 6, seed=3),
+        gen_random(12, cycles=10, p=0.5, seed=4),
+    ][index]
+    inputs = refine_inputs(circuit, Architecture(3, 6), monkeypatch)
+    assert len(inputs) >= 3
+    for weights, initial in inputs:
+        assert weights.shape == (18, 18)
+        assert_refine_matches_loops(weights, initial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=4), st.data())
+def test_refine_matches_loops_property(num_parts, size, data):
+    # Dyadic weights, and INFINITE on any set of pairs, disjoint or not, so
+    # that many instances are infeasible or cycle and must raise the same
+    # error after the same pass cap.
+    n = num_parts * size
+    m = n * (n - 1) // 2
+    dyadic = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])
+    upper = np.asarray(data.draw(st.lists(dyadic, min_size=m, max_size=m)))
+    infinite = np.asarray(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    upper[infinite] = INFINITE
+    weights = np.zeros((n, n))
+    weights[np.triu_indices(n, k=1)] = upper
+    weights += weights.T
+    start = data.draw(st.permutations(np.repeat(np.arange(num_parts), size).tolist()))
+    assert_refine_matches_loops(weights, np.asarray(start, dtype=np.int64))
+
+
+def test_refine_matches_loops_when_passes_run_out():
+    # Every pass of an unreachable instance ends with no unlocked cross-part
+    # pair; both refinements must run the same passes and raise at the cap.
     rng = np.random.default_rng(15)
-    weights, part = dyadic_instance(rng, 24, 3)
-    sums = _part_sums(weights, part, 3)
-    none = (-1, -1, -np.inf)
-    all_locked = np.ones(24, dtype=bool)
-    one_part_free = part != 1
-    one_node_free = np.arange(24) != 5
-    for locked in (all_locked, one_part_free, one_node_free):
-        assert _select_swap(weights, sums, part, locked) == none
-        assert _select_swap_loops(weights, sums, part, locked) == none
+    outcomes = set()
+    for _ in range(150):
+        num_parts = int(rng.integers(2, 5))
+        size = int(rng.integers(2, 5))
+        n = num_parts * size
+        weights = rng.choice([0.0, 0.25, 0.5], size=(n, n))
+        weights[rng.random((n, n)) < 0.15] = INFINITE
+        weights = np.triu(weights, k=1)
+        weights += weights.T
+        part = np.repeat(np.arange(num_parts), size).astype(np.int64)
+        rng.shuffle(part)
+        got = assert_refine_matches_loops(weights, part)
+        outcomes.add(got == "ValidityUnreachableError")
+    assert outcomes == {False, True}
 
 
 def bits(values):

@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcoremap import INFINITE, Architecture, Circuit, Gate, fgp_map_circuit, timeslice
+from qcoremap import INFINITE, Architecture, Circuit, Gate, fgp_map_circuit, gen_qft, timeslice
 from qcoremap import fgp
 from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
 
@@ -197,6 +199,23 @@ class TestPairArraysCache:
         assert fresh is not pairs
         assert all(np.array_equal(x, y) for x, y in zip(fresh, pairs))
         assert [x.tolist() for x in pairs] == [[0, 1, 0], [1, 3, 2], [0, 1, 3]]
+
+    def test_pickled_slicing_flattens_read_only_arrays_afresh(self):
+        circuit = gen_qft(6)
+        sliced = timeslice(circuit)
+        pairs = pair_arrays(sliced)
+        for copy in (pickle.loads(pickle.dumps(circuit)), pickle.loads(pickle.dumps(sliced))):
+            copied = timeslice(copy) if isinstance(copy, Circuit) else copy
+            assert copied is not sliced
+            assert "_pairs" not in copied.__dict__
+            copied_pairs = pair_arrays(copied)
+            for array in copied_pairs:
+                assert not array.flags.writeable
+            fresh = pair_arrays(timeslice(Circuit(6, circuit.gates)))
+            assert all(np.array_equal(x, y) for x, y in zip(copied_pairs, fresh))
+            assert all(np.array_equal(x, y) for x, y in zip(copied_pairs, pairs))
+            assert copied == sliced and hash(copied) == hash(sliced) and repr(copied) == repr(sliced)
+        assert sliced.__dict__["_pairs"] is pairs
 
     def test_cache_leaves_slicing_equality_alone(self):
         circuit = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))

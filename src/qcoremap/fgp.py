@@ -138,7 +138,7 @@ def roee_refine(weights: np.ndarray, initial):
             _apply_swap(sub_w, part_sums, part, u, v)
             if _cut_infinite(part, inf_a, inf_b) == 0:
                 return part
-            # Unlocked before this swap: the rows of u and v turn to -inf.
+            # Taken before u and v lock, so their rows are rewritten too, to -inf.
             rows = (((part == pu) | (part == pv)) & ~locked).nonzero()[0]
             locked[u] = locked[v] = True
             block = _gain_rows(part_sums, part, locked, twice_w, rows)

@@ -1,10 +1,10 @@
 """Reference refinement for fgp, with its exchange selection as a plain double
 loop.
 
-``_select_swap_loops`` is the former loop kernel of ``qcoremap.fgp``, and
-``roee_refine_loops`` the former driver that called it once per swap,
-recomputing every gain from the part sums. ``tests/test_kernels.py`` compares
-``qcoremap.fgp.roee_refine`` against it. The selection scans pairs u < v in
+``_select_swap_loops`` is the former loop kernel of ``qcoremap.fgp``, on
+nested lists, and ``roee_refine_loops`` the former refinement loop that called
+it once per swap, recomputing every gain from the part sums.
+``tests/test_kernels.py`` compares ``qcoremap.fgp.roee_refine`` against it. The selection scans pairs u < v in
 row-major order and keeps the first strict maximum, so it returns the
 lexicographically smallest maximizing pair; the gains repeat the refinement's
 float operations in the same order, so partitions must be identical.

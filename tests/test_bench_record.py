@@ -20,7 +20,7 @@ def write_run(out: Path, seed: int, wall_s: float, digest: str, source: str, tra
     metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in names}
     if not trace:
         metrics["wall_s"]["value"] = wall_s
-    details = {"digest": digest, "passes": 2}
+    details = {"digest": digest, "passes": 2, "pass_raw_wall_s": [wall_s, 2 * wall_s, 3 * wall_s]}
     if trace:
         details["missing_layers"] = []
     run = {
@@ -56,3 +56,8 @@ def test_pairs_are_compared_seed_by_seed(tmp_path):
     assert not summary["digests_match"]
     assert summary["traced"]["0"]["missing_layers"] == {"parent": [], "change": []}
     assert record["environment"]["parent_source_digests"] == ["p"]
+    raw = summary["raw_pass_s"]
+    assert raw["parent"]["runs"] == [20.0, 22.0, 24.0, 18.0]
+    assert raw["change"]["median"] == pytest.approx(10.6)
+    assert raw["pairs_change_lower"] == 2
+    assert summary["failed_of_attempted_per_pass"]["change"] == [[0.5, 2.0]] * 4

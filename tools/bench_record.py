@@ -12,7 +12,8 @@ every end-to-end metric in ``BENCHMARK.json`` each side's runs, median and
 quartiles, the pairs the change won, lost and tied, and whether the medians
 stay within the metric's bound and show a gain (the change wins at least nine
 tenths of the pairs and its median beats the parent's by more than the
-parent's quartile spread); whether every run was correct and the digests
+parent's quartile spread); each run's unscaled pass time and its failed and
+attempted calls per pass; whether every run was correct and the digests
 match seed by seed; the traced per-layer metrics of seeds traced on both
 sides; and the environment the runs report.
 """
@@ -74,6 +75,27 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+def raw_pass_times(pairs: list[tuple[dict, dict]]) -> dict | None:
+    """Each run's median unscaled pass time, paired seed by seed. Scaled
+    times also move with the calibration kernel's speed, raw times do not."""
+    if not all("pass_raw_wall_s" in run["details"] for pair in pairs for run in pair):
+        return None
+    parent = [statistics.median(p["details"]["pass_raw_wall_s"]) for p, _ in pairs]
+    change = [statistics.median(c["details"]["pass_raw_wall_s"]) for _, c in pairs]
+    return {
+        "unit": "s",
+        "parent": spread(parent),
+        "change": spread(change),
+        "pairs_change_lower": sum(c < p for p, c in zip(parent, change)),
+    }
+
+
+def per_pass(run: dict) -> list[float]:
+    """[failed, attempted] of one pass; every pass maps the same inputs."""
+    passes = run["details"]["passes"]
+    return [run["result"]["failed"] / passes, run["result"]["attempted"] / passes]
+
+
 def summarise_workload(name: str, parent: dict, change: dict, declared: dict) -> dict:
     seeds = sorted(s for (w, s, t) in parent if w == name and t == 0 and (w, s, t) in change)
     pairs = [(parent[(name, s, 0)], change[(name, s, 0)]) for s in seeds]
@@ -114,10 +136,15 @@ def summarise_workload(name: str, parent: dict, change: dict, declared: dict) ->
             "parent": [[p["result"]["failed"], p["result"]["attempted"]] for p, _ in pairs],
             "change": [[c["result"]["failed"], c["result"]["attempted"]] for _, c in pairs],
         },
+        "failed_of_attempted_per_pass": {
+            "parent": [per_pass(p) for p, _ in pairs],
+            "change": [per_pass(c) for _, c in pairs],
+        },
         "passes": {
             "parent": [p["details"]["passes"] for p, _ in pairs],
             "change": [c["details"]["passes"] for _, c in pairs],
         },
+        "raw_pass_s": raw_pass_times(pairs),
         "traced": traced,
     }
 

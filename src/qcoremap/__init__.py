@@ -11,6 +11,7 @@ from .assignment import (
     Assignment,
     AssignmentPath,
     CapacityError,
+    MappingInfeasibleError,
     MappingValidationError,
     count_communications,
     initial_assignment,
@@ -18,7 +19,7 @@ from .assignment import (
     validate_path,
 )
 from .circuit import Circuit, Gate, TimeslicedCircuit, interacting_pairs, timeslice
-from .fgp import FgpConfig, ValidityUnreachableError, fgp_map_circuit, roee_refine
+from .fgp import FgpConfig, fgp_map_circuit, roee_refine
 from .generators import (
     BenchmarkSpec,
     gen_cuccaro,
@@ -28,7 +29,7 @@ from .generators import (
     gen_quantum_volume,
     gen_random,
 )
-from .hqa import HqaConfig, MappingInfeasibleError, UnfeasibleOp, hqa_step, map_circuit
+from .hqa import HqaConfig, UnfeasibleOp, hqa_step, map_circuit
 from .hungarian import (
     FORBIDDEN,
     AssignmentSolution,
@@ -62,7 +63,6 @@ __all__ = [
     "QasmError",
     "TimeslicedCircuit",
     "UnfeasibleOp",
-    "ValidityUnreachableError",
     "count_communications",
     "fgp_map_circuit",
     "gen_cuccaro",

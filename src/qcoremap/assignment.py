@@ -3,6 +3,9 @@
 One inter-core communication is one qubit relocation (one teleportation).
 Moving a qubit from core A to core B costs exactly 1 regardless of which
 cores are involved: connectivity is all-to-all within and between cores.
+
+A slice with P pairs over n qubits fits iff ``sum_j floor(c_j / 2) >= P`` and
+``sum_j c_j >= n``; both mappers check it, and place pairs, with this module.
 """
 
 from __future__ import annotations
@@ -11,11 +14,18 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .circuit import Gate
+from .hungarian import solve
 
 
 class CapacityError(ValueError):
     """Architecture cannot hold the requested number of qubits."""
+
+
+class MappingInfeasibleError(RuntimeError):
+    """A slice has more two-qubit gates than the cores can hold as pairs."""
 
 
 class MappingValidationError(RuntimeError):
@@ -99,6 +109,50 @@ def initial_assignment(num_qubits: int, arch: Architecture) -> Assignment:
     return Assignment(tuple(core_of))
 
 
+def check_pair_slots(offsets: np.ndarray, arch: Architecture) -> None:
+    """Raise MappingInfeasibleError if a slice (``offsets`` as from
+    ``pair_arrays``) has more pairs than the cores hold, ``sum_j floor(c_j / 2)``."""
+    slots = sum(cap // 2 for cap in arch.capacities)
+    for t, count in enumerate(np.diff(offsets).tolist()):
+        if count > slots:
+            raise MappingInfeasibleError(
+                f"slice {t} has {count} two-qubit gates, but the cores hold at most "
+                f"{slots} co-located pairs (sum of floor(capacity / 2))"
+            )
+
+
+def place_pairs(core_of: Sequence[int], a: np.ndarray, b: np.ndarray, arch: Architecture):
+    """Place the slice with pairs ``(a[i], b[i])`` afresh from ``core_of``: the
+    pairs are matched to the ``floor(c_j / 2)`` pair slots of each core by
+    relocation count, every other index keeps its core while it has room, in
+    index order, and the rest fill the lowest cores with room. Returns the cores."""
+    caps = arch.capacities
+    pairs = list(zip(a.tolist(), b.tolist()))
+    slot_core = [core for core, cap in enumerate(caps) for _ in range(cap // 2)]
+    if len(pairs) > len(slot_core):
+        raise MappingInfeasibleError(
+            f"{len(pairs)} two-qubit gates exceed the {len(slot_core)} pair slots of the cores"
+        )
+    cost = [[(core_of[x] != core) + (core_of[y] != core) for core in slot_core] for x, y in pairs]
+    placed = list(core_of)
+    room = list(caps)
+    for (x, y), slot in zip(pairs, solve(cost).col_of_row):
+        placed[x] = placed[y] = slot_core[slot]
+        room[slot_core[slot]] -= 2
+    in_pairs = {q for pair in pairs for q in pair}
+    displaced = []
+    for q, core in enumerate(core_of):
+        if q not in in_pairs:
+            if room[core] > 0:
+                room[core] -= 1
+            else:
+                displaced.append(q)
+    for q in displaced:
+        placed[q] = next(c for c, r in enumerate(room) if r > 0)
+        room[placed[q]] -= 1
+    return placed
+
+
 def is_valid(assignment: Assignment, gates: Iterable[Gate], arch: Architecture) -> bool:
     """True iff every two-qubit gate is co-located and no core exceeds capacity.
 
@@ -125,11 +179,6 @@ def _pairs_co_located(core_of: Sequence[int], gates: Iterable[Gate]) -> bool:
         if len(qubits) == 2 and core_of[qubits[0]] != core_of[qubits[1]]:
             return False
     return True
-
-
-def moved_qubits(before: Assignment, after: Assignment) -> int:
-    """Number of qubits whose core differs between two assignments."""
-    return sum(1 for a, b in zip(before.core_of, after.core_of) if a != b)
 
 
 @dataclass(frozen=True)
@@ -178,7 +227,7 @@ def count_communications(path: AssignmentPath | Sequence[Assignment]) -> int:
     total = 0
     for before, after in zip(assignments, assignments[1:]):
         if before is not after:
-            total += moved_qubits(before, after)
+            total += sum(a != b for a, b in zip(before.core_of, after.core_of))
     return total
 
 

@@ -17,7 +17,7 @@ from .assignment import (
     validate_path,
 )
 from .circuit import timeslice
-from .fgp import FgpConfig, ValidityUnreachableError, fgp_map_circuit
+from .fgp import FgpConfig, fgp_map_circuit
 from .generators import FAMILIES, BenchmarkSpec
 from .harness import (
     DEFAULT_ATTRACTION_QUBITS,
@@ -293,7 +293,6 @@ def main(argv=None) -> int:
     except (
         MappingValidationError,
         MappingInfeasibleError,
-        ValidityUnreachableError,
         OracleInfeasibleError,
         OSError,
     ) as exc:

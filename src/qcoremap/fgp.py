@@ -16,6 +16,9 @@ endpoint in those parts are recomputed (the incremental gains of
 Kernighan-Lin). And a slice whose pairs the incoming partition already
 co-locates is passed through without building its interaction graph, since
 the relaxed refinement would return it unchanged.
+
+Where the refinement cycles, ``roee_refine`` returns None and hqa's
+``assignment.place_pairs`` places the slice, so fgp too is total on feasible input.
 """
 
 from __future__ import annotations
@@ -25,12 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
+from .assignment import check_pair_slots, place_pairs
 from .circuit import Circuit, timeslice
 from .lookahead import DEFAULT_HORIZON, INFINITE, pair_arrays, window_matrix
-
-
-class ValidityUnreachableError(RuntimeError):
-    """Exchange passes exhausted without reaching a valid partition."""
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,10 @@ def roee_refine(weights: np.ndarray, initial):
     finite gain is left.
 
     Returns ``initial`` unchanged when it is already valid. A pass that ends
-    without validity is committed whole and a fresh pass starts; after
-    2 * len(initial) passes ValidityUnreachableError is raised.
+    without validity is committed whole and a fresh pass starts. Returns None
+    once a pass ends on a partition an earlier pass started from (on fgp's
+    dyadic weights the part sums are exact, so a pass depends only on its start
+    and a repeat is final), or after 2 * len(initial) passes.
     """
     if not np.array_equal(weights, weights.T):
         raise ValueError("weights must be symmetric")
@@ -127,6 +129,7 @@ def roee_refine(weights: np.ndarray, initial):
     cap = 2 * n
     twice_w = 2.0 * sub_w
     part_sums = _part_sums(sub_w, part, k)
+    seen = {part.tobytes()}
     for _ in range(cap):
         locked = np.zeros(n, dtype=bool)
         gains = _gain_rows(part_sums, part, locked, twice_w, np.arange(n))
@@ -144,9 +147,10 @@ def roee_refine(weights: np.ndarray, initial):
             block = _gain_rows(part_sums, part, locked, twice_w, rows)
             gains[rows] = block
             gains[:, rows] = block.T
-    raise ValidityUnreachableError(
-        f"no valid partition reached within {cap} exchange passes"
-    )
+        if part.tobytes() in seen:
+            return None
+        seen.add(part.tobytes())
+    return None
 
 
 def fgp_map_circuit(
@@ -157,7 +161,9 @@ def fgp_map_circuit(
 
     Qubit slots beyond the circuit (when it does not fill the architecture)
     are padded with zero-weight dummy qubits that may be swapped but never
-    appear in the output assignments.
+    appear in the output assignments. A slice the refinement cannot make
+    valid is placed by ``place_pairs`` over every padded slot; the dummies, the
+    highest indices, take the leftover room, so every part stays full.
     """
     if not arch.is_uniform:
         raise ValueError("partition refinement requires uniform core capacities")
@@ -166,6 +172,7 @@ def fgp_map_circuit(
     initial_assignment(num_q, arch)  # capacity check with the shared error
     sliced = timeslice(circuit)
     pa, pb, offsets = pair_arrays(sliced)
+    check_pair_slots(offsets, arch)
 
     part = np.arange(padded, dtype=np.int64) // arch.capacity
     assignments = []
@@ -178,7 +185,8 @@ def fgp_map_circuit(
             weights[:num_q, :num_q] = window_matrix(num_q, pa, pb, offsets, t, config.horizon)
             weights[a, b] = INFINITE
             weights[b, a] = INFINITE
-            part = roee_refine(weights, part)
+            fresh = roee_refine(weights, part)
+            part = np.asarray(place_pairs(part.tolist(), a, b, arch)) if fresh is None else fresh
         assignments.append(Assignment(tuple(part[:num_q].tolist())))
     return AssignmentPath(
         num_qubits=num_q,

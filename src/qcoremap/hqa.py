@@ -14,12 +14,10 @@ Odd or unequal capacities can leave operations pending while every core has
 at most one free slot. The step then evicts a qubit that no two-qubit gate of
 the slice uses from a core with one free slot into another such core (one
 relocation), which gives the first core room for a pair. When no such
-eviction exists, the slice is placed afresh from the incoming assignment:
-its pairs are matched to the ``floor(c_j / 2)`` pair slots of each core by
-relocation count, and every other qubit stays in its core while there is
-room. So the mapper raises only on infeasible input: when the qubits exceed
-the total capacity (``CapacityError``) or some slice has more two-qubit gates
-than ``sum_j floor(c_j / 2)`` (``MappingInfeasibleError``).
+eviction exists, the slice is placed afresh by ``assignment.place_pairs``,
+which fgp shares. So the mapper raises only on infeasible input: when the
+qubits exceed the total capacity (``CapacityError``) or some slice has more
+two-qubit gates than ``sum_j floor(c_j / 2)`` (``MappingInfeasibleError``).
 """
 
 from __future__ import annotations
@@ -30,15 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
+from .assignment import MappingInfeasibleError, check_pair_slots, place_pairs  # noqa: F401
 from .circuit import Circuit, Gate, TimeslicedCircuit, timeslice
 from .hungarian import FORBIDDEN, shift_to_nonnegative, solve
 from .lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
 
 LIFTED = -1  # residency marker for qubits pulled out of their core
-
-
-class MappingInfeasibleError(RuntimeError):
-    """A slice has more two-qubit gates than the cores can hold as pairs."""
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,7 @@ def hqa_step(
     read the incoming assignment: lifted qubits still physically sit in their
     old core until the transition happens. When operations are pending and
     no core has two free slots, an idle qubit is evicted to open one
-    (``_evict_idle``), or else the slice is placed afresh (``_replace_slice``).
+    (``_evict_idle``), or else ``place_pairs`` places the slice afresh.
     """
     gates = sliced.slices[t + 1]
     ops = collect_unfeasible(prev, gates)
@@ -191,7 +186,9 @@ def hqa_step(
         available = int((free >= 2).sum())
         if available == 0:
             if not _evict_idle(remaining[0], prev, gates, residency, free):
-                return _replace_slice(prev, gates, arch)
+                pa, pb, offsets = pair_arrays(sliced)
+                lo, hi = offsets[t + 1], offsets[t + 2]
+                return Assignment(tuple(place_pairs(prev.core_of, pa[lo:hi], pb[lo:hi], arch)))
             available = 1
         batch = remaining[: min(len(remaining), available)]
         cost = _base_cost_matrix(batch, prev, free)
@@ -239,58 +236,6 @@ def _evict_idle(
     return False
 
 
-def _replace_slice(prev: Assignment, gates: Sequence[Gate], arch: Architecture) -> Assignment:
-    """Place slice ``gates`` afresh from ``prev``.
-
-    Each pair is matched to one of the ``floor(c_j / 2)`` pair slots of a
-    core at the cost of its relocations; then every other qubit stays in its
-    core while there is room, in qubit order, and the rest fill the lowest
-    cores with room.
-    """
-    caps = arch.capacities
-    core_of = prev.core_of
-    pairs = [g.qubits for g in gates if g.is_two_qubit]
-    slot_core = [core for core, cap in enumerate(caps) for _ in range(cap // 2)]
-    if len(pairs) > len(slot_core):
-        raise MappingInfeasibleError(
-            f"{len(pairs)} two-qubit gates exceed the {len(slot_core)} pair slots of the cores"
-        )
-    cost = [[(core_of[a] != core) + (core_of[b] != core) for core in slot_core] for a, b in pairs]
-    placed = list(core_of)
-    room = list(caps)
-    for (a, b), slot in zip(pairs, solve(cost).col_of_row):
-        placed[a] = placed[b] = slot_core[slot]
-        room[slot_core[slot]] -= 2
-    in_pairs = {q for pair in pairs for q in pair}
-    displaced = []
-    for q, core in enumerate(core_of):
-        if q in in_pairs:
-            continue
-        if room[core] > 0:
-            room[core] -= 1
-        else:
-            displaced.append(q)
-    for q in displaced:
-        core = next(c for c, r in enumerate(room) if r > 0)
-        placed[q] = core
-        room[core] -= 1
-    return Assignment(tuple(placed))
-
-
-def _check_pair_slots(offsets: np.ndarray, arch: Architecture) -> None:
-    """Raise MappingInfeasibleError if a slice has more two-qubit gates than
-    the cores can hold as co-located pairs, ``sum_j floor(c_j / 2)``."""
-    slots = sum(cap // 2 for cap in arch.capacities)
-    counts = np.diff(offsets)
-    over = np.flatnonzero(counts > slots)
-    if over.size:
-        t = int(over[0])
-        raise MappingInfeasibleError(
-            f"slice {t} has {int(counts[t])} two-qubit gates, but the cores hold at most "
-            f"{slots} co-located pairs (sum of floor(capacity / 2))"
-        )
-
-
 def map_circuit(
     circuit: Circuit, arch: Architecture, config: HqaConfig = HqaConfig()
 ) -> AssignmentPath:
@@ -305,11 +250,10 @@ def map_circuit(
     sliced = timeslice(circuit)
     current = initial_assignment(circuit.num_qubits, arch)
     assignments: list[Assignment] = []
-    if sliced.num_slices > 0:
-        _check_pair_slots(pair_arrays(sliced)[2], arch)
-        for t in range(-1, sliced.num_slices - 1):
-            current = hqa_step(current, sliced, t, arch, config)
-            assignments.append(current)
+    check_pair_slots(pair_arrays(sliced)[2], arch)
+    for t in range(-1, sliced.num_slices - 1):
+        current = hqa_step(current, sliced, t, arch, config)
+        assignments.append(current)
     return AssignmentPath(
         num_qubits=circuit.num_qubits,
         num_cores=arch.num_cores,

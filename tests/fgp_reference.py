@@ -7,18 +7,19 @@ it once per swap, recomputing every gain from the part sums.
 ``tests/test_kernels.py`` compares ``qcoremap.fgp.roee_refine`` against it. The selection scans pairs u < v in
 row-major order and keeps the first strict maximum, so it returns the
 lexicographically smallest maximizing pair; the gains repeat the refinement's
-float operations in the same order, so partitions must be identical.
+float operations in the same order, so partitions must be identical. The
+reference runs every pass up to the cap of 2n and raises PassCapReached
+there; ``roee_refine`` must return None on exactly those inputs, however
+early it stops at a repeated partition.
 """
 
 import numpy as np
 
-from qcoremap.fgp import (
-    ValidityUnreachableError,
-    _apply_swap,
-    _cut_infinite,
-    _part_sums,
-    _substitute,
-)
+from qcoremap.fgp import _apply_swap, _cut_infinite, _part_sums, _substitute
+
+
+class PassCapReached(RuntimeError):
+    """The reference ran 2n exchange passes without reaching validity."""
 
 
 def _select_swap_loops(sub_w, part_sums, part, locked):
@@ -71,6 +72,4 @@ def roee_refine_loops(weights, initial):
         locked[u] = locked[v] = True
         if _cut_infinite(part, inf_a, inf_b) == 0:
             return part
-    raise ValidityUnreachableError(
-        f"no valid partition reached within {cap} exchange passes"
-    )
+    raise PassCapReached(f"no valid partition reached within {cap} exchange passes")

@@ -72,6 +72,14 @@ class TestMap:
         assert code == 1
         assert "slice 0 has 3 two-qubit gates" in capsys.readouterr().err
 
+    def test_infeasible_mapping_exits_one_with_fgp(self, tmp_path, capsys):
+        # fgp runs the same up-front pair-slot check as hqa.
+        qasm = tmp_path / "pairs.qasm"
+        qasm.write_text("qreg q[6];\ncx q[0],q[1];\ncx q[2],q[3];\ncx q[4],q[5];\n")
+        code = main(["map", str(qasm), "--cores", "2", "--capacity", "3", "--mapper", "fgp-roee"])
+        assert code == 1
+        assert "slice 0 has 3 two-qubit gates" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_reports_optimum(self, tmp_path, capsys):

@@ -9,8 +9,9 @@ from qcoremap import (
     Architecture,
     Circuit,
     Gate,
+    CapacityError,
     INFINITE,
-    ValidityUnreachableError,
+    MappingInfeasibleError,
     count_communications,
     fgp_map_circuit,
     gen_cuccaro,
@@ -24,7 +25,9 @@ from qcoremap import (
     minimum_communications,
     roee_refine,
     timeslice,
+    validate_path,
 )
+from qcoremap import fgp
 from qcoremap.fgp import _substitute
 from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
 
@@ -71,14 +74,40 @@ class TestRoeeRefine:
         ]
         assert any((refined == p).all() for p in valid)
 
-    def test_validity_unreachable_raises(self):
+    def test_validity_unreachable_returns_none(self):
         # Three disjoint must-co-locate pairs cannot pack into parts of 3.
         graph = graph_from_edges(
             6, {(0, 1): INFINITE, (2, 3): INFINITE, (4, 5): INFINITE}
         )
         broken = [0, 1, 0, 1, 0, 1]
-        with pytest.raises(ValidityUnreachableError):
-            roee_refine(graph, broken)
+        assert roee_refine(graph, broken) is None
+
+    def test_k2_failure_stops_after_second_pass(self, monkeypatch):
+        # At k = 2 a pass that runs out has moved every node once, which only
+        # swaps the labels, so the second pass ends on the start partition.
+        # The refinement must stop there, not run 2n passes: count the full
+        # gain-matrix builds, one per pass (all n rows, nothing locked).
+        builds = [0]
+        gain_rows = fgp._gain_rows
+
+        def counting(part_sums, part, locked, twice_w, rows):
+            builds[0] += len(rows) == part.shape[0] and not locked.any()
+            return gain_rows(part_sums, part, locked, twice_w, rows)
+
+        monkeypatch.setattr(fgp, "_gain_rows", counting)
+        # 120 nodes, sparse dyadic weights, 30 infinite 4-node chains.
+        rng = np.random.default_rng(1)
+        n = 120
+        weights = rng.choice([0.25, 0.5, 1.0], size=(n, n)) * (rng.random((n, n)) < 0.15)
+        weights = np.triu(weights, k=1)
+        weights += weights.T
+        for chain in rng.permutation(n).reshape(30, 4):
+            for a, b in zip(chain, chain[1:]):
+                weights[a, b] = weights[b, a] = INFINITE
+        part = np.repeat(np.arange(2), n // 2)
+        rng.shuffle(part)
+        assert roee_refine(weights, part) is None
+        assert builds[0] == 2
 
     def test_asymmetric_weights_rejected(self):
         # Gains are read from one orientation and mirrored, so the weights
@@ -102,7 +131,7 @@ class TestRoeeRefine:
     def test_balance_preserved(self, num_parts, size, data):
         # Dyadic look-ahead-like weights and disjoint must-co-locate pairs on
         # a shuffled balanced start. Odd part sizes can make validity
-        # unreachable, which must surface as the typed error.
+        # unreachable, which must surface as None.
         n = num_parts * size
         dyadic = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])
         upper = data.draw(st.lists(dyadic, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
@@ -118,9 +147,8 @@ class TestRoeeRefine:
             data.draw(st.permutations(np.repeat(np.arange(num_parts), size).tolist())),
             dtype=np.int64,
         )
-        try:
-            refined = roee_refine(weights, start)
-        except ValidityUnreachableError:
+        refined = roee_refine(weights, start)
+        if refined is None:
             return
         assert np.bincount(refined, minlength=num_parts).tolist() == [size] * num_parts
         assert all(refined[a] == refined[b] for a, b in pairs)
@@ -205,6 +233,63 @@ class TestFgpMapCircuit:
         assert path.num_slices == sliced.num_slices
         for assignment, gates in zip(path.assignments, sliced.slices):
             assert is_valid(assignment, gates, arch)
+
+
+def cx(a, b):
+    return Gate("cx", (a, b))
+
+
+class TestTotalOnFeasibleInput:
+    """fgp raises only when the qubits exceed the total capacity or a slice
+    has more pairs than sum_j floor(c_j / 2); everything else is mapped, with
+    a pair-slot placement where the refinement cycles."""
+
+    def test_smallest_cycle_placed_by_pair_slots(self, monkeypatch):
+        # The refinement repeats its start partition at the end of pass 2;
+        # the optimum is 0 and the pair-slot placement reaches it.
+        circuit = Circuit(7, (cx(1, 4), cx(2, 5), cx(2, 5), cx(3, 0)))
+        arch = Architecture(4, 3)
+        refined = []
+
+        def recording(weights, initial):
+            refined.append(roee_refine(weights, initial))
+            return refined[-1]
+
+        monkeypatch.setattr(fgp, "roee_refine", recording)
+        path = fgp_map_circuit(circuit, arch)
+        assert refined[0] is None
+        validate_path(path, timeslice(circuit).slices, arch)
+        assert count_communications(path) == minimum_communications(circuit, arch) == 0
+
+    def test_too_many_pairs_for_the_cores(self):
+        circuit = Circuit(6, (cx(0, 1), cx(2, 3), cx(4, 5)))
+        with pytest.raises(MappingInfeasibleError, match="slice 0 has 3 two-qubit gates.* at most 2"):
+            fgp_map_circuit(circuit, Architecture(2, 3))
+
+    def test_too_many_qubits_for_the_cores(self):
+        with pytest.raises(CapacityError):
+            fgp_map_circuit(Circuit(5, (cx(0, 1),)), Architecture(2, 2))
+
+    @given(
+        circuits(max_qubits=10, max_gates=16),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_maps_exactly_the_feasible_instances(self, circuit, num_cores, capacity):
+        arch = Architecture(num_cores, capacity)
+        sliced = timeslice(circuit)
+        slots = num_cores * (capacity // 2)
+        feasible = num_cores * capacity >= circuit.num_qubits and all(
+            sum(1 for g in gates if g.is_two_qubit) <= slots for gates in sliced.slices
+        )
+        try:
+            path = fgp_map_circuit(circuit, arch)
+        except (CapacityError, MappingInfeasibleError):
+            assert not feasible
+            return
+        assert feasible
+        validate_path(path, sliced.slices, arch)
 
 
 def reference_fgp_path(circuit, arch):

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcoremap.assignment as assignment_module
+import qcoremap.fgp as fgp
 import qcoremap.hqa as hqa
 from qcoremap import (
     Architecture,
@@ -424,8 +426,8 @@ class TestTotalOnFeasibleInput:
         # core 2 full of idle qubits: no eviction opens a core, so the pair
         # takes core 2's pair slot and its residents move out in order.
         calls = []
-        original = hqa._replace_slice
-        monkeypatch.setattr(hqa, "_replace_slice", lambda *a: calls.append(1) or original(*a))
+        original = hqa.place_pairs
+        monkeypatch.setattr(hqa, "place_pairs", lambda *a: calls.append(1) or original(*a))
         sliced = timeslice(Circuit(4, (cx(0, 1),)))
         arch = Architecture(3, 2, core_capacities=(1, 1, 2))
         result = hqa_step(Assignment((0, 1, 2, 2)), sliced, -1, arch)
@@ -444,6 +446,14 @@ class TestTotalOnFeasibleInput:
         prev = Assignment((0, 0, 0, 1, 1, 1))
         with pytest.raises(MappingInfeasibleError, match="3 two-qubit gates exceed the 2 pair slots"):
             hqa_step(prev, sliced, -1, Architecture(2, 3))
+
+    def test_pair_slot_rule_shared_with_fgp(self):
+        # One check and one placement, in qcoremap.assignment, serve both
+        # mappers; qcoremap.hqa still exposes the error's name.
+        assert hqa.MappingInfeasibleError is assignment_module.MappingInfeasibleError
+        assert MappingInfeasibleError is assignment_module.MappingInfeasibleError
+        assert fgp.check_pair_slots is hqa.check_pair_slots is assignment_module.check_pair_slots
+        assert fgp.place_pairs is hqa.place_pairs is assignment_module.place_pairs
 
     def test_too_many_qubits_for_the_cores(self):
         with pytest.raises(CapacityError):

@@ -30,13 +30,7 @@ from .generators import (
     gen_random,
 )
 from .hqa import HqaConfig, UnfeasibleOp, hqa_step, map_circuit
-from .hungarian import (
-    FORBIDDEN,
-    AssignmentSolution,
-    InfeasibleMatrixError,
-    shift_to_nonnegative,
-    solve,
-)
+from .hungarian import FORBIDDEN, AssignmentSolution, InfeasibleMatrixError, solve
 from .lookahead import INFINITE
 from .oracle import OracleInfeasibleError, minimum_communications
 from .qasm import QasmError, parse_qasm, serialize_qasm
@@ -80,7 +74,6 @@ __all__ = [
     "parse_qasm",
     "roee_refine",
     "serialize_qasm",
-    "shift_to_nonnegative",
     "solve",
     "timeslice",
     "validate_path",

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-ONE_QUBIT = "one-qubit"
-TWO_QUBIT = "two-qubit"
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -32,10 +29,6 @@ class Gate:
             raise ValueError(f"gate '{self.label}' repeats a qubit: {self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"gate '{self.label}' has a negative qubit index: {self.qubits}")
-
-    @property
-    def kind(self) -> str:
-        return TWO_QUBIT if len(self.qubits) == 2 else ONE_QUBIT
 
     @property
     def is_two_qubit(self) -> bool:

@@ -17,7 +17,7 @@ from .assignment import (
     validate_path,
 )
 from .circuit import timeslice
-from .fgp import FgpConfig, fgp_map_circuit
+from .fgp import fgp_map_circuit
 from .generators import FAMILIES, BenchmarkSpec
 from .harness import (
     DEFAULT_ATTRACTION_QUBITS,
@@ -36,7 +36,6 @@ from .harness import (
     sweep_qubits,
 )
 from .hqa import HqaConfig, MappingInfeasibleError, map_circuit
-from .lookahead import DEFAULT_HORIZON
 from .oracle import OracleInfeasibleError, minimum_communications
 from .qasm import QasmError, parse_qasm, serialize_qasm
 
@@ -60,7 +59,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, with_mapper: bool = True):
     if with_mapper:
         parser.add_argument("--mapper", choices=["hqa", "fgp-roee", "both"], default="both")
         parser.add_argument("--attraction", choices=["on", "off", "both"], default="on")
-    parser.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--replicas", type=int, default=5,
                         help="seeds per stochastic benchmark configuration")
@@ -95,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--capacity", type=int, required=True)
     mp.add_argument("--mapper", choices=["hqa", "fgp-roee"], default="hqa")
     mp.add_argument("--attraction", choices=["on", "off"], default="on")
-    mp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     mp.add_argument("--out", type=Path, default=None,
                     help="path JSON file (default stdout, metrics then on stderr)")
 
@@ -160,11 +157,9 @@ def _cmd_map(args) -> int:
     arch = Architecture(args.cores, args.capacity)
     sliced = timeslice(circuit)
     if _MAPPER_FLAGS[args.mapper] == MAPPER_HQA:
-        path = map_circuit(
-            circuit, arch, HqaConfig(use_attraction=args.attraction == "on", horizon=args.horizon)
-        )
+        path = map_circuit(circuit, arch, HqaConfig(use_attraction=args.attraction == "on"))
     else:
-        path = fgp_map_circuit(circuit, arch, FgpConfig(horizon=args.horizon))
+        path = fgp_map_circuit(circuit, arch)
     validate_path(path, sliced.slices, arch)
     metrics = json.dumps(
         {
@@ -222,7 +217,6 @@ def _cmd_sweep_cores(args) -> int:
         attraction_modes=_attraction_modes(args.attraction),
         seed=args.seed,
         replicas=args.replicas,
-        horizon=args.horizon,
     )
     return _write_sweep(records, ratios, args)
 
@@ -236,7 +230,6 @@ def _cmd_sweep_qubits(args) -> int:
         attraction_modes=_attraction_modes(args.attraction),
         seed=args.seed,
         replicas=args.replicas,
-        horizon=args.horizon,
     )
     return _write_sweep(records, ratios, args)
 
@@ -248,7 +241,6 @@ def _cmd_sweep_attraction(args) -> int:
         qubit_counts=args.qubits,
         seed=args.seed,
         replicas=args.replicas,
-        horizon=args.horizon,
     )
     return _write_sweep(records, ratios, args)
 

@@ -17,8 +17,9 @@ Kernighan-Lin). And a slice whose pairs the incoming partition already
 co-locates is passed through without building its interaction graph, since
 the relaxed refinement would return it unchanged.
 
-Where the refinement cycles, ``roee_refine`` returns None and hqa's
-``assignment.place_pairs`` places the slice, so fgp too is total on feasible input.
+Where the refinement cycles, ``roee_refine`` returns None and
+``assignment.place_pairs``, which hqa shares, places the slice, so fgp too is
+total on feasible input.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from .lookahead import DEFAULT_HORIZON, INFINITE, pair_arrays, window_matrix
 
 @dataclass(frozen=True)
 class FgpConfig:
-    horizon: int = DEFAULT_HORIZON
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+    """fgp has no settings. This empty class, and ``fgp_map_circuit``'s third
+    parameter, are kept only because the benchmark's tiny-exact workload
+    builds one and passes it.
+    """
 
 
 def _substitute(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,6 +164,7 @@ def fgp_map_circuit(
     appear in the output assignments. A slice the refinement cannot make
     valid is placed by ``place_pairs`` over every padded slot; the dummies, the
     highest indices, take the leftover room, so every part stays full.
+    ``config`` is unused (see ``FgpConfig``).
     """
     if not arch.is_uniform:
         raise ValueError("partition refinement requires uniform core capacities")
@@ -182,7 +183,7 @@ def fgp_map_circuit(
         # roee_refine would return unchanged: skip building the weights.
         if (part[a] != part[b]).any():
             weights = np.zeros((padded, padded))
-            weights[:num_q, :num_q] = window_matrix(num_q, pa, pb, offsets, t, config.horizon)
+            weights[:num_q, :num_q] = window_matrix(num_q, pa, pb, offsets, t, DEFAULT_HORIZON)
             weights[a, b] = INFINITE
             weights[b, a] = INFINITE
             fresh = roee_refine(weights, part)

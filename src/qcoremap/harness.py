@@ -17,10 +17,9 @@ from dataclasses import dataclass, fields
 
 from .assignment import Architecture, count_communications, validate_path
 from .circuit import Circuit, timeslice
-from .fgp import FgpConfig, fgp_map_circuit
+from .fgp import fgp_map_circuit
 from .generators import BenchmarkSpec
 from .hqa import HqaConfig, map_circuit
-from .lookahead import DEFAULT_HORIZON
 
 MAPPER_HQA = "hqa"
 MAPPER_FGP = "fgp_roee"
@@ -94,7 +93,6 @@ def run_single(
     arch: Architecture,
     mapper: str,
     use_attraction: bool = True,
-    horizon: int = DEFAULT_HORIZON,
     *,
     circuit: Circuit | None = None,
 ) -> RunRecord:
@@ -110,9 +108,9 @@ def run_single(
     started = time.perf_counter()
     sliced = timeslice(circuit)
     if mapper == MAPPER_HQA:
-        path = map_circuit(circuit, arch, HqaConfig(use_attraction=use_attraction, horizon=horizon))
+        path = map_circuit(circuit, arch, HqaConfig(use_attraction=use_attraction))
     else:
-        path = fgp_map_circuit(circuit, arch, FgpConfig(horizon=horizon))
+        path = fgp_map_circuit(circuit, arch)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     validate_path(path, sliced.slices, arch)
     return RunRecord(
@@ -147,38 +145,54 @@ def _ratio_str(numerator: float, denominator: float) -> str:
     return repr(numerator / denominator)
 
 
-def _check_even_split(num_qubits: int, num_cores: int) -> int:
-    if num_qubits % num_cores:
-        raise UsageError(f"{num_cores} cores do not divide {num_qubits} qubits")
-    capacity = num_qubits // num_cores
+def _cell_architecture(
+    num_qubits: int, num_cores: int | None, capacity: int | None
+) -> Architecture:
+    """The architecture of one sweep cell, which fixes ``num_qubits`` and
+    either ``num_cores`` or ``capacity``: the other must be their exact
+    quotient, and the capacity even.
+    """
+    if num_cores is not None:
+        if num_cores < 1:
+            raise UsageError(f"need at least one core, got {num_cores}")
+        if num_qubits % num_cores:
+            raise UsageError(f"{num_cores} cores do not divide {num_qubits} qubits")
+        capacity = num_qubits // num_cores
+    else:
+        if capacity < 1:
+            raise UsageError(f"capacity must be positive, got {capacity}")
+        if num_qubits % capacity:
+            raise UsageError(f"{num_qubits} qubits is not a multiple of capacity {capacity}")
+        num_cores = num_qubits // capacity
     if capacity % 2:
         raise UsageError(
             f"{num_qubits} qubits over {num_cores} cores give odd capacity {capacity}; "
             "an even number of qubits per core is required"
         )
-    return capacity
+    return Architecture(num_cores, capacity)
 
 
-def _mapper_comparison_sweep(
-    benchmarks,
-    cells,  # list of (num_qubits, num_cores)
-    mappers,
-    attraction_modes,  # list of bool, for hqa rows
-    seed: int,
-    replicas: int,
-    horizon: int,
-):
+def _sweep(benchmarks, cells, runs, seed: int, replicas: int, ratio=None):
+    """Map every benchmark on every cell, once per seed and run.
+
+    ``cells`` are ``(num_qubits, num_cores, capacity)`` triples for
+    ``_cell_architecture``; every one is checked before the first circuit is
+    mapped. ``runs`` are ``(mapper, use_attraction)`` pairs, mapped in that
+    order. ``ratio``, when given, is ``(numerator run, denominator run,
+    (numerator column, denominator column, ratio column))``, and each cell
+    then gets a row comparing the two runs' median communications.
+    """
+    families = parse_benchmark_names(benchmarks)
+    cells = [(cell[0], _cell_architecture(*cell)) for cell in cells]
     records: list[RunRecord] = []
     ratio_rows: list[dict] = []
-    for family, density in parse_benchmark_names(benchmarks):
+    for family, density in families:
         # Each circuit is built once and kept only while a later cell of the
         # same qubit count will map it again.
         circuits: dict[BenchmarkSpec, Circuit] = {}
-        for i, (num_qubits, num_cores) in enumerate(cells):
+        for i, (num_qubits, arch) in enumerate(cells):
             needed_later = any(q == num_qubits for q, _ in cells[i + 1 :])
-            capacity = _check_even_split(num_qubits, num_cores)
-            arch = Architecture(num_cores, capacity)
-            comms: dict[tuple[str, bool], list[int]] = {}
+            comms: dict[tuple[str, bool], list[int]] = {run: [] for run in runs}
             for s in _seeds_for(family, seed, replicas):
                 spec = make_spec(family, density, num_qubits, s)
                 circuit = circuits.pop(spec, None)
@@ -186,30 +200,24 @@ def _mapper_comparison_sweep(
                     circuit = spec.build()
                 if needed_later:
                     circuits[spec] = circuit
-                for mapper in mappers:
-                    modes = attraction_modes if mapper == MAPPER_HQA else [False]
-                    for attraction in modes:
-                        record = run_single(
-                            spec, arch, mapper, attraction, horizon, circuit=circuit
-                        )
-                        records.append(record)
-                        comms.setdefault((mapper, attraction), []).append(
-                            record.communications
-                        )
-            if MAPPER_FGP in mappers and MAPPER_HQA in mappers:
-                hqa_mode = True in attraction_modes
-                fgp_med = _median(comms[(MAPPER_FGP, False)])
-                hqa_med = _median(comms[(MAPPER_HQA, hqa_mode)])
+                for mapper, attraction in runs:
+                    record = run_single(spec, arch, mapper, attraction, circuit=circuit)
+                    records.append(record)
+                    comms[(mapper, attraction)].append(record.communications)
+            if ratio is not None:
+                numerator_run, denominator_run, (numerator_col, denominator_col, ratio_col) = ratio
+                numerator = _median(comms[numerator_run])
+                denominator = _median(comms[denominator_run])
                 ratio_rows.append(
                     {
                         "family": family,
                         "params": "" if density is None else f"p={density}",
                         "num_qubits": num_qubits,
-                        "num_cores": num_cores,
-                        "capacity": capacity,
-                        "comms_fgp_roee": repr(fgp_med),
-                        "comms_hqa": repr(hqa_med),
-                        "ratio_fgp_over_hqa": _ratio_str(fgp_med, hqa_med),
+                        "num_cores": arch.num_cores,
+                        "capacity": arch.capacity,
+                        numerator_col: repr(numerator),
+                        denominator_col: repr(denominator),
+                        ratio_col: _ratio_str(numerator, denominator),
                     }
                 )
     return _sorted_records(records), ratio_rows
@@ -230,6 +238,24 @@ def _sorted_records(records: list[RunRecord]) -> list[RunRecord]:
     )
 
 
+def _mapper_comparison(benchmarks, cells, mappers, attraction_modes, seed, replicas):
+    """Sweep ``mappers``, hqa once per attraction mode; with both mappers,
+    each cell's ratio row is fgp over hqa, with attraction when it is run."""
+    runs = [
+        (mapper, attraction)
+        for mapper in mappers
+        for attraction in (attraction_modes if mapper == MAPPER_HQA else (False,))
+    ]
+    ratio = None
+    if MAPPER_FGP in mappers and MAPPER_HQA in mappers:
+        ratio = (
+            (MAPPER_FGP, False),
+            (MAPPER_HQA, True in attraction_modes),
+            ("comms_fgp_roee", "comms_hqa", "ratio_fgp_over_hqa"),
+        )
+    return _sweep(benchmarks, cells, runs, seed, replicas, ratio)
+
+
 def sweep_cores(
     benchmarks=DEFAULT_BENCHMARKS,
     num_qubits: int = 120,
@@ -238,13 +264,10 @@ def sweep_cores(
     attraction_modes=(True,),
     seed: int = 1,
     replicas: int = 5,
-    horizon: int = DEFAULT_HORIZON,
 ):
     """Fixed circuit size, varying core count; q/N must be an even integer."""
-    cells = [(num_qubits, n) for n in core_counts]
-    return _mapper_comparison_sweep(
-        benchmarks, cells, mappers, list(attraction_modes), seed, replicas, horizon
-    )
+    cells = [(num_qubits, n, None) for n in core_counts]
+    return _mapper_comparison(benchmarks, cells, mappers, attraction_modes, seed, replicas)
 
 
 def sweep_qubits(
@@ -255,13 +278,10 @@ def sweep_qubits(
     attraction_modes=(True,),
     seed: int = 1,
     replicas: int = 5,
-    horizon: int = DEFAULT_HORIZON,
 ):
     """Fixed core count, varying circuit size; q/N must be an even integer."""
-    cells = [(q, num_cores) for q in qubit_counts]
-    return _mapper_comparison_sweep(
-        benchmarks, cells, mappers, list(attraction_modes), seed, replicas, horizon
-    )
+    cells = [(q, num_cores, None) for q in qubit_counts]
+    return _mapper_comparison(benchmarks, cells, mappers, attraction_modes, seed, replicas)
 
 
 def sweep_attraction(
@@ -270,43 +290,12 @@ def sweep_attraction(
     qubit_counts=DEFAULT_ATTRACTION_QUBITS,
     seed: int = 1,
     replicas: int = 5,
-    horizon: int = DEFAULT_HORIZON,
 ):
     """Attraction on vs off for the Hungarian mapper at fixed qubits per core."""
-    if capacity % 2:
-        raise UsageError(f"capacity must be even, got {capacity}")
-    records: list[RunRecord] = []
-    ratio_rows: list[dict] = []
-    for family, density in parse_benchmark_names(benchmarks):
-        for num_qubits in qubit_counts:
-            if num_qubits % capacity:
-                raise UsageError(f"{num_qubits} qubits is not a multiple of capacity {capacity}")
-            arch = Architecture(num_qubits // capacity, capacity)
-            comms: dict[bool, list[int]] = {True: [], False: []}
-            for s in _seeds_for(family, seed, replicas):
-                spec = make_spec(family, density, num_qubits, s)
-                circuit = spec.build()
-                for attraction in (False, True):
-                    record = run_single(
-                        spec, arch, MAPPER_HQA, attraction, horizon, circuit=circuit
-                    )
-                    records.append(record)
-                    comms[attraction].append(record.communications)
-            off_med = _median(comms[False])
-            on_med = _median(comms[True])
-            ratio_rows.append(
-                {
-                    "family": family,
-                    "params": "" if density is None else f"p={density}",
-                    "num_qubits": num_qubits,
-                    "num_cores": arch.num_cores,
-                    "capacity": capacity,
-                    "comms_attraction_off": repr(off_med),
-                    "comms_attraction_on": repr(on_med),
-                    "ratio_off_over_on": _ratio_str(off_med, on_med),
-                }
-            )
-    return _sorted_records(records), ratio_rows
+    cells = [(q, None, capacity) for q in qubit_counts]
+    off, on = (MAPPER_HQA, False), (MAPPER_HQA, True)
+    ratio = (off, on, ("comms_attraction_off", "comms_attraction_on", "ratio_off_over_on"))
+    return _sweep(benchmarks, cells, [off, on], seed, replicas, ratio)
 
 
 def records_to_csv(records: list[RunRecord], include_timing: bool = True) -> str:

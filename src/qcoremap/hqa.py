@@ -30,7 +30,7 @@ import numpy as np
 from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
 from .assignment import MappingInfeasibleError, check_pair_slots, place_pairs  # noqa: F401
 from .circuit import Circuit, Gate, TimeslicedCircuit, timeslice
-from .hungarian import FORBIDDEN, shift_to_nonnegative, solve
+from .hungarian import FORBIDDEN, solve
 from .lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
 
 LIFTED = -1  # residency marker for qubits pulled out of their core
@@ -52,11 +52,6 @@ class UnfeasibleOp:
 @dataclass(frozen=True)
 class HqaConfig:
     use_attraction: bool = True
-    horizon: int = DEFAULT_HORIZON
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
 def collect_unfeasible(prev: Assignment, gates: Sequence[Gate]) -> list[UnfeasibleOp]:
@@ -179,7 +174,7 @@ def hqa_step(
 
     weights = None
     if config.use_attraction:
-        weights = window_matrix(sliced.num_qubits, *pair_arrays(sliced), t, config.horizon)
+        weights = window_matrix(sliced.num_qubits, *pair_arrays(sliced), t, DEFAULT_HORIZON)
 
     remaining = list(ops)
     while remaining:
@@ -196,7 +191,7 @@ def hqa_step(
             finite = np.isfinite(cost)
             pull = _attraction_matrix(batch, residency, weights, arch.num_cores)
             cost[finite] -= pull[finite]
-        solution = solve(shift_to_nonnegative(cost))
+        solution = solve(cost)
         for op, core in zip(batch, solution.col_of_row):
             residency[op.qa] = core
             residency[op.qb] = core

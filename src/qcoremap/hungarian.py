@@ -192,18 +192,6 @@ def _validated(costs) -> np.ndarray:
     return m
 
 
-def shift_to_nonnegative(costs) -> np.ndarray:
-    """Subtract the global minimum finite entry; forbidden entries stay +inf.
-
-    The argmin matching is invariant under this shift.
-    """
-    m = _validated(costs)
-    finite = np.isfinite(m)
-    if not finite.any():
-        raise ValueError("cost matrix has no finite entry")
-    return m - m[finite].min()
-
-
 def solve(costs) -> AssignmentSolution:
     """Minimum-cost injective row -> column matching.
 

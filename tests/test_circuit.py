@@ -26,8 +26,8 @@ class TestGateInvariants:
             Gate("ccx", (0, 1, 2))
 
     def test_kind_matches_arity(self):
-        assert h(0).kind == "one-qubit"
-        assert cx(0, 1).kind == "two-qubit"
+        assert not h(0).is_two_qubit
+        assert cx(0, 1).is_two_qubit
 
     def test_gate_index_out_of_range(self):
         with pytest.raises(ValueError, match="exceeds"):

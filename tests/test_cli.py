@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -133,6 +134,29 @@ class TestSweeps:
         assert records[0]["family"] == "ghz"
         json.loads((tmp_path / "sweep.ratios.json").read_text())
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-cores", "--cores", "0", "--qubits", "8"],
+            ["sweep-qubits", "--cores", "0", "--qubits", "8"],
+            ["sweep-attraction", "--capacity", "0", "--qubits", "8"],
+        ],
+        ids=["sweep-cores", "sweep-qubits", "sweep-attraction"],
+    )
+    def test_zero_cores_or_capacity_is_usage_error(self, args, capsys):
+        assert main(args + ["--benchmarks", "ghz", "--replicas", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_every_cell_checked_before_mapping(self, monkeypatch, capsys):
+        import qcoremap.harness
+
+        mapped = []
+        monkeypatch.setattr(qcoremap.harness, "run_single", lambda *args, **kw: mapped.append(1))
+        assert main(["sweep-cores", "--qubits", "8", "--cores", "2,3",
+                     "--benchmarks", "ghz", "--replicas", "1"]) == 2
+        assert "3 cores do not divide 8 qubits" in capsys.readouterr().err
+        assert mapped == []
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep-cores", "--qubits", "12", "--cores", "2,6",
                 "--benchmarks", "ghz,random:0.5", "--replicas", "2",
@@ -143,6 +167,93 @@ class TestSweeps:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.ratios.csv").read_bytes() == (tmp_path / "b.ratios.csv").read_bytes()
+
+
+# sha256 of small --no-timing sweep outputs, (records, ratios) per format.
+# Any change to a record, a ratio row or their formatting fails here.
+PINNED_SWEEPS = {
+    "cores": (
+        ["sweep-cores", "--qubits", "12", "--cores", "2,6",
+         "--benchmarks", "ghz,cuccaro,random:0.5", "--replicas", "3", "--seed", "3"],
+        {
+            "csv": (
+                "9658de40463d9dd32f991ae88a2190c3c58af625d33d64151a79bce7caa80eb3",
+                "33ca15c967b55ab75d85322362e121b7240e32367d5b18ed64d25fe93019b021",
+            ),
+            "json": (
+                "07ef7cc04519416718424f7656834bac56405a7d8aa369faca77bf7df3ea865c",
+                "54b3d564f16d07cddb28a48c5169b17f992762e5aa868739d9fc3f0292b528a0",
+            ),
+        },
+    ),
+    "cores-hqa-both": (
+        ["sweep-cores", "--qubits", "12", "--cores", "2,6", "--benchmarks", "cuccaro,random:0.5",
+         "--replicas", "3", "--seed", "3", "--mapper", "hqa", "--attraction", "both"],
+        {
+            "csv": (
+                "da7456a513dcca129751546905be8558eca923abbc51fe9157d31df7bc8da7de",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            "json": (
+                "9971bbbf4ab79580f5da7ada81029b781163b3aa45dfd127ede874693dacf8d9",
+                "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+            ),
+        },
+    ),
+    "cores-attraction-both": (
+        ["sweep-cores", "--qubits", "12", "--cores", "2,6", "--benchmarks", "cuccaro,random:0.5",
+         "--replicas", "3", "--seed", "3", "--attraction", "both"],
+        {
+            "csv": (
+                "87fb06f9be43b7eb9665d9ac5e3ec12ce7001fd0a21bd01814d95a1f006efd9a",
+                "cdb7b951c76f8244340b0be2e81605afea31c9efd9f323d605b061134214db24",
+            ),
+            "json": (
+                "269eac9b4372dfa0bf6c7cdedc6fd1bb6a93ab8ce426a0baeedb681cc9cd59b3",
+                "5731bac2650a94fa2d2e9a98daeef5243e9fba254eab38ab1d74e9663abec4e2",
+            ),
+        },
+    ),
+    "qubits": (
+        ["sweep-qubits", "--cores", "2", "--qubits", "8,12", "--benchmarks", "qft,random:0.5",
+         "--replicas", "3"],
+        {
+            "csv": (
+                "969b0dcf1e394e191bc3f9c6676e741559f2dff96fb20b9fb74e2ac11c8396c8",
+                "c4ed90d725b52351d4cb72c0fcf5c161301c097e7cb132b42be4126db6b3614b",
+            ),
+            "json": (
+                "fa57815cd63148d744d328fb90b183f48952a4362bd29ac20e52bba20962e78c",
+                "ef55997906879d2239805fdbb34bee608d51e748f213625cb467951bb5d50543",
+            ),
+        },
+    ),
+    "attraction": (
+        ["sweep-attraction", "--capacity", "4", "--qubits", "8,12",
+         "--benchmarks", "cuccaro,random:0.5", "--replicas", "3"],
+        {
+            "csv": (
+                "8dda30681bacc78d95d48f5022049231908e44eb2548f07a7b89ec7ace4204b2",
+                "347d5f63f11450782962fa0451e3db6aa937f843523f54cf34baf8c04bdd6af8",
+            ),
+            "json": (
+                "565b1d2c35dfd567ffc76ce9fdbe0e3e716e6543ff17ea934eb6238473b32156",
+                "bcc447bbdd0b81fc0681f2ae5040700c7b9429cc2bdf060c0799d15a5091e1c0",
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_sweep_outputs_match_pinned_digests(name, fmt, tmp_path):
+    args, digests = PINNED_SWEEPS[name]
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(args + ["--no-timing", "--format", fmt, "--out", str(out)]) == 0
+    ratios = tmp_path / f"sweep.ratios.{fmt}"
+    actual = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, ratios))
+    assert actual == digests[fmt]
 
 
 def test_console_entry_point(tmp_path):

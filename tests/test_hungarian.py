@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcoremap import InfeasibleMatrixError, shift_to_nonnegative, solve
+from qcoremap import InfeasibleMatrixError, solve
 from qcoremap.hungarian import TOL, _jv_rectangular
 
 import hungarian_reference as reference
@@ -89,31 +89,6 @@ class TestSolveExamples:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             solve(np.array([[np.nan, 1.0], [1.0, 1.0]]))
-
-
-class TestShift:
-    def test_negative_shifted_out(self):
-        out = shift_to_nonnegative(np.array([[-0.5, 0.5]]))
-        assert out.tolist() == [[0.0, 1.0]]
-
-    def test_all_equal_becomes_zero(self):
-        out = shift_to_nonnegative(np.full((3, 3), 7.0))
-        assert (out == 0.0).all()
-
-    def test_forbidden_untouched(self):
-        out = shift_to_nonnegative(np.array([[2.0, INF], [3.0, 4.0]]))
-        assert out[0, 1] == INF
-        assert out[0, 0] == 0.0
-
-    def test_no_finite_entries_rejected(self):
-        with pytest.raises(ValueError):
-            shift_to_nonnegative(np.full((2, 2), INF))
-
-    def test_argmin_preserved_on_random_matrices(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            m = rng.uniform(-5, 5, size=(5, 5))
-            assert solve(shift_to_nonnegative(m)).col_of_row == solve(m).col_of_row
 
 
 class TestOracleEquivalence:

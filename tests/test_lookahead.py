@@ -161,27 +161,30 @@ class TestProperties:
         w = lookahead_weight(sliced, 0, 0, 1)
         assert w == 0.5 + 0.25 + 0.125  # exact float arithmetic on dyadics
 
-    def test_default_horizon_reproduces_unbounded_mapper_decisions(self):
+    def test_default_horizon_reproduces_unbounded_mapper_decisions(self, monkeypatch):
         # Truncation at the default horizon is below every decision threshold:
         # both mappers produce identical paths with an effectively unbounded one.
-        from qcoremap import (
-            Architecture,
-            FgpConfig,
-            HqaConfig,
-            fgp_map_circuit,
-            gen_qft,
-            gen_random,
-            map_circuit,
-        )
+        from qcoremap import gen_random, hqa, map_circuit
+
+        def run_at(entry, module, horizon, circuit, arch):
+            # The mapper's own horizon is recorded and replaced by ``horizon``.
+            passed = []
+
+            def window_at(num_qubits, pa, pb, offsets, t, default):
+                passed.append(default)
+                return window_matrix(num_qubits, pa, pb, offsets, t, horizon)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "window_matrix", window_at)
+                path = entry(circuit, arch)
+            assert passed and set(passed) == {DEFAULT_HORIZON}
+            return path
 
         arch = Architecture(2, 8)
         for circuit in (gen_qft(16), gen_random(16, cycles=16, p=0.5, seed=2)):
-            bounded = map_circuit(circuit, arch, HqaConfig(horizon=32))
-            unbounded = map_circuit(circuit, arch, HqaConfig(horizon=10_000))
-            assert bounded == unbounded
-            assert fgp_map_circuit(circuit, arch, FgpConfig(horizon=32)) == fgp_map_circuit(
-                circuit, arch, FgpConfig(horizon=10_000)
-            )
+            for module, entry in ((hqa, map_circuit), (fgp, fgp_map_circuit)):
+                bounded = run_at(entry, module, 32, circuit, arch)
+                assert bounded == run_at(entry, module, 10_000, circuit, arch)
 
 
 class TestPairArraysCache:

@@ -1,5 +1,5 @@
-"""The benchmark's view of the package: every traced name resolves, and the
-environment record still builds.
+"""The benchmark's view of the package: every traced name resolves, every
+call the workloads make still binds, and the environment record still builds.
 
 perfbench/ is not a package, so its modules are loaded by file path. Each is
 registered in sys.modules before it runs, as dataclasses need to find the
@@ -7,12 +7,13 @@ module of the class they decorate.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from qcoremap import INFINITE, fgp
+from qcoremap import INFINITE, fgp, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +50,22 @@ def test_every_hook_resolves_and_is_removed():
 
 def test_environment_record_builds():
     assert run.environment()["numba_enabled"] is False
+
+
+def test_workload_calls_still_bind(monkeypatch):
+    # The workloads import their sibling modules by plain name.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    # tiny-exact calls both mappers (with their config objects) and the oracle.
+    tiny = workloads.TinyExact(1)
+    inputs = tiny.setup()
+    tiny.prepare(inputs)
+    result = tiny.run_pass(inputs)
+    assert result.calls
+    assert result.errors == []
+    assert [c for c in result.calls if c.failed] == []
+    # sweep-cores enters through harness.sweep_cores with these keywords.
+    sweep = workloads.SweepCores
+    inspect.signature(harness.sweep_cores).bind(
+        num_qubits=sweep.QUBITS, core_counts=sweep.CORE_COUNTS, replicas=1, seed=1
+    )

@@ -6,9 +6,11 @@ import pytest
 from qcoremap import Architecture, BenchmarkSpec
 from qcoremap.harness import (
     CSV_COLUMNS,
+    DEFAULT_CORE_SWEEP,
     MAPPER_FGP,
     MAPPER_HQA,
     UsageError,
+    _cell_architecture,
     parse_benchmark_names,
     ratios_to_csv,
     records_to_csv,
@@ -63,8 +65,9 @@ class TestBenchmarkNames:
 
 class TestSweepValidation:
     def test_core_list_with_even_quotients_accepted(self):
-        for n in (2, 3, 4, 5, 6, 10, 12):
-            assert 120 % n == 0 and (120 // n) % 2 == 0
+        for n in DEFAULT_CORE_SWEEP:
+            assert _cell_architecture(120, n, None) == Architecture(n, 120 // n)
+        assert _cell_architecture(48, None, 16) == Architecture(3, 16)
 
     def test_indivisible_core_count_rejected(self):
         with pytest.raises(UsageError, match="do not divide"):

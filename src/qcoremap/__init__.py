@@ -18,7 +18,7 @@ from .assignment import (
     is_valid,
     validate_path,
 )
-from .circuit import Circuit, Gate, TimeslicedCircuit, interacting_pairs, timeslice
+from .circuit import Circuit, Gate, TimeslicedCircuit, timeslice
 from .fgp import FgpConfig, fgp_map_circuit, roee_refine
 from .generators import (
     BenchmarkSpec,
@@ -67,7 +67,6 @@ __all__ = [
     "gen_random",
     "hqa_step",
     "initial_assignment",
-    "interacting_pairs",
     "is_valid",
     "map_circuit",
     "minimum_communications",

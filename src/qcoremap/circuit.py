@@ -5,11 +5,15 @@ angles are opaque payload kept for serialization fidelity.
 
 Circuits and gates are immutable, so a circuit's timeslicing is computed once
 and kept on the circuit: every later ``timeslice`` call returns that object.
+Likewise a slicing's two-qubit pairs are flattened once by ``pair_arrays``
+and kept on the slicing; the mapping passes and the oracle read them there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,8 @@ class TimeslicedCircuit:
         return len(self.slices)
 
     def __getstate__(self):
-        # The pair arrays kept by lookahead.pair_arrays are read-only, and
-        # unpickled arrays are not: drop them so a copy flattens afresh.
+        # The arrays kept by pair_arrays are read-only, and unpickled arrays
+        # are not: drop them so a copy flattens afresh.
         state = dict(self.__dict__)
         state.pop("_pairs", None)
         return state
@@ -134,11 +138,33 @@ def timeslice(circuit: Circuit) -> TimeslicedCircuit:
     return sliced
 
 
-def interacting_pairs(gates) -> set[tuple[int, int]]:
-    """Unordered qubit pairs touched by two-qubit gates, as (low, high) tuples."""
-    pairs = set()
-    for g in gates:
-        if g.is_two_qubit:
-            a, b = g.qubits
-            pairs.add((a, b) if a < b else (b, a))
+def pair_arrays(sliced: TimeslicedCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten two-qubit gate endpoints into read-only (a, b, slice_offsets) arrays.
+
+    slice_offsets has length T+1; slice m's pairs live at [offsets[m], offsets[m+1]),
+    in gate order and with each gate's qubit order. The arrays are computed on
+    the first call for a slicing and kept in its ``__dict__`` under ``_pairs``,
+    the way ``timeslice`` keeps its result on the circuit, so every pass shares
+    one flattening.
+    """
+    cached = sliced.__dict__.get("_pairs")
+    if cached is not None:
+        return cached
+    a_list: list[int] = []
+    b_list: list[int] = []
+    offsets = [0]
+    for gates in sliced.slices:
+        for g in gates:
+            if len(g.qubits) == 2:
+                a_list.append(g.qubits[0])
+                b_list.append(g.qubits[1])
+        offsets.append(len(a_list))
+    pairs = (
+        np.asarray(a_list, dtype=np.int64),
+        np.asarray(b_list, dtype=np.int64),
+        np.asarray(offsets, dtype=np.int64),
+    )
+    for array in pairs:
+        array.setflags(write=False)
+    sliced.__dict__["_pairs"] = pairs
     return pairs

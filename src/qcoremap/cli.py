@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .assignment import (
     Architecture,
+    MappingInfeasibleError,
     MappingValidationError,
     count_communications,
     validate_path,
@@ -35,7 +36,7 @@ from .harness import (
     sweep_cores,
     sweep_qubits,
 )
-from .hqa import HqaConfig, MappingInfeasibleError, map_circuit
+from .hqa import HqaConfig, map_circuit
 from .oracle import OracleInfeasibleError, minimum_communications
 from .qasm import QasmError, parse_qasm, serialize_qasm
 

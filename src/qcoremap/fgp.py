@@ -30,8 +30,8 @@ import numpy as np
 
 from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
 from .assignment import check_pair_slots, place_pairs
-from .circuit import Circuit, timeslice
-from .lookahead import DEFAULT_HORIZON, INFINITE, pair_arrays, window_matrix
+from .circuit import Circuit, pair_arrays, timeslice
+from .lookahead import DEFAULT_HORIZON, INFINITE, window_matrix
 
 
 @dataclass(frozen=True)

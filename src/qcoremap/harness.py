@@ -177,12 +177,17 @@ def _sweep(benchmarks, cells, runs, seed: int, replicas: int, ratio=None):
 
     ``cells`` are ``(num_qubits, num_cores, capacity)`` triples for
     ``_cell_architecture``; every one is checked before the first circuit is
-    mapped. ``runs`` are ``(mapper, use_attraction)`` pairs, mapped in that
-    order. ``ratio``, when given, is ``(numerator run, denominator run,
-    (numerator column, denominator column, ratio column))``, and each cell
-    then gets a row comparing the two runs' median communications.
+    mapped, as are ``replicas`` (at least one) and the cell list (not empty).
+    ``runs`` are ``(mapper, use_attraction)`` pairs, mapped in that order.
+    ``ratio``, when given, is ``(numerator run, denominator run, (numerator
+    column, denominator column, ratio column))``, and each cell then gets a
+    row comparing the two runs' median communications.
     """
     families = parse_benchmark_names(benchmarks)
+    if replicas < 1:
+        raise UsageError(f"need at least one replica, got {replicas}")
+    if not cells:
+        raise UsageError("the swept list of core or qubit counts is empty")
     cells = [(cell[0], _cell_architecture(*cell)) for cell in cells]
     records: list[RunRecord] = []
     ratio_rows: list[dict] = []

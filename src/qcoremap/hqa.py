@@ -1,37 +1,37 @@
 """Mapper that repairs each timeslice transition by assigning split two-qubit
 operations to cores with an iterative minimum-cost matching.
 
-For the transition into slice t+1, every two-qubit gate whose endpoints sit in
-different cores becomes an operation to place. Both endpoints of an operation
-always land in the same core, so the produced assignment is valid by
-construction. A placement costs 1 relocation when one endpoint already lives
-in the target core and 2 otherwise; cores without two free slots are
-forbidden targets. Optionally, costs are reduced by the attraction each
-operation feels toward a core's remaining residents, weighted by how soon
-they interact.
+For the transition into slice t+1, every pair of the slice, as flattened by
+``circuit.pair_arrays`` for both mappers, whose endpoints sit in different
+cores becomes an operation to place. Both endpoints of an operation always
+land in the same core, so the produced assignment is valid by construction.
+A placement costs 1 relocation when one endpoint already lives in the target
+core and 2 otherwise; cores without two free slots are forbidden targets.
+Optionally, costs are reduced by the attraction each operation feels toward
+a core's remaining residents, weighted by how soon they interact.
 
 Odd or unequal capacities can leave operations pending while every core has
-at most one free slot. The step then evicts a qubit that no two-qubit gate of
-the slice uses from a core with one free slot into another such core (one
-relocation), which gives the first core room for a pair. When no such
-eviction exists, the slice is placed afresh by ``assignment.place_pairs``,
-which fgp shares. So the mapper raises only on infeasible input: when the
-qubits exceed the total capacity (``CapacityError``) or some slice has more
-two-qubit gates than ``sum_j floor(c_j / 2)`` (``MappingInfeasibleError``).
+at most one free slot. The step then evicts a qubit that no pair of the slice
+uses from a core with one free slot into another such core (one relocation),
+which gives the first core room for a pair. When no such eviction exists, the
+slice is placed afresh by ``assignment.place_pairs``, which fgp shares. So the
+mapper raises only on infeasible input: when the qubits exceed the total
+capacity (``CapacityError``) or some slice has more two-qubit gates than
+``sum_j floor(c_j / 2)`` (``MappingInfeasibleError``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
-from .assignment import MappingInfeasibleError, check_pair_slots, place_pairs  # noqa: F401
-from .circuit import Circuit, Gate, TimeslicedCircuit, timeslice
+from .assignment import check_pair_slots, place_pairs
+from .circuit import Circuit, TimeslicedCircuit, pair_arrays, timeslice
 from .hungarian import FORBIDDEN, solve
-from .lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
+from .lookahead import DEFAULT_HORIZON, window_matrix
 
 LIFTED = -1  # residency marker for qubits pulled out of their core
 
@@ -54,42 +54,32 @@ class HqaConfig:
     use_attraction: bool = True
 
 
-def collect_unfeasible(prev: Assignment, gates: Sequence[Gate]) -> list[UnfeasibleOp]:
-    """Two-qubit gates of the slice whose endpoints sit in different cores, in gate order."""
+def collect_unfeasible(prev: Assignment, a: Sequence[int], b: Sequence[int]) -> list[UnfeasibleOp]:
+    """Pairs ``(a[i], b[i])`` of the slice whose endpoints sit in different cores, in gate order."""
     core_of = prev.core_of
-    return [
-        UnfeasibleOp(g.qubits[0], g.qubits[1])
-        for g in gates
-        if g.is_two_qubit and core_of[g.qubits[0]] != core_of[g.qubits[1]]
-    ]
+    return [UnfeasibleOp(qa, qb) for qa, qb in zip(a, b) if core_of[qa] != core_of[qb]]
 
 
 def parity_fix(
-    ops: Sequence[UnfeasibleOp], prev: Assignment, gates: Sequence[Gate], num_cores: int
+    ops: Sequence[UnfeasibleOp], prev: Assignment, a: Sequence[int], b: Sequence[int],
+    one_qubit: Collection[int], num_cores: int,
 ) -> list[UnfeasibleOp]:
     """Append auxiliary operations so every core loses an even number of qubits.
 
-    Cores housing an odd count of operation endpoints are sorted ascending and
-    paired consecutively; each pair contributes one auxiliary operation built
-    from one spare qubit per core. Spare preference per core: lowest idle
-    qubit, else lowest qubit acting only in one-qubit gates. Failing both,
-    every remaining resident is half of a co-located two-qubit pair; the
-    lowest such pair is lifted as an operation of its own (keeping the pair
-    together preserves validity), which frees space but yields no single
-    spare, so that core stays unpaired. Unpaired leftovers arise only under
-    odd capacities or partially filled cores.
+    ``a`` and ``b`` are the slice's pair endpoints and ``one_qubit`` the
+    qubits of its one-qubit gates. Cores housing an odd count of operation
+    endpoints are sorted ascending and paired consecutively; each pair
+    contributes one auxiliary operation built from one spare qubit per core.
+    Spare preference per core: lowest idle qubit, else lowest qubit acting
+    only in a one-qubit gate. Failing both, every remaining resident is half
+    of a co-located pair; the lowest such pair is lifted as an operation of
+    its own (keeping the pair together preserves validity), which frees space
+    but yields no single spare, so that core stays unpaired. Unpaired
+    leftovers arise only under odd capacities or partially filled cores.
     """
     core_of = prev.core_of
-    acting: set[int] = set()
-    in_two_qubit: set[int] = set()
-    partner_of: dict[int, int] = {}
-    for g in gates:
-        acting.update(g.qubits)
-        if g.is_two_qubit:
-            a, b = g.qubits
-            in_two_qubit.update((a, b))
-            partner_of[a] = b
-            partner_of[b] = a
+    partner_of = dict(zip(a, b))
+    partner_of.update(zip(b, a))
 
     out = list(ops)
     lifted = {q for op in out for q in op.qubits}
@@ -104,9 +94,9 @@ def parity_fix(
     spares: list[tuple[int, int]] = []
     for core, residents in odd_residents.items():
         residents = [q for q in residents if q not in lifted]
-        spare = next((q for q in residents if q not in acting), None)
+        spare = next((q for q in residents if q not in partner_of and q not in one_qubit), None)
         if spare is None:
-            spare = next((q for q in residents if q not in in_two_qubit), None)
+            spare = next((q for q in residents if q not in partner_of), None)
         if spare is None:
             if residents:
                 q = residents[0]
@@ -137,10 +127,9 @@ def _attraction_matrix(
     onehot = np.zeros((len(residency), num_cores))
     resident = np.flatnonzero(residency >= 0)
     onehot[resident, residency[resident]] = 1.0
-    pull = np.empty((len(ops), num_cores))
-    for i, op in enumerate(ops):
-        pull[i] = (weights[op.qa] + weights[op.qb]) @ onehot / 2.0
-    return pull
+    qa = [op.qa for op in ops]
+    qb = [op.qb for op in ops]
+    return (weights[qa] + weights[qb]) @ onehot / 2.0
 
 
 def hqa_step(
@@ -159,11 +148,14 @@ def hqa_step(
     no core has two free slots, an idle qubit is evicted to open one
     (``_evict_idle``), or else ``place_pairs`` places the slice afresh.
     """
-    gates = sliced.slices[t + 1]
-    ops = collect_unfeasible(prev, gates)
+    pa, pb, offsets = pair_arrays(sliced)
+    slice_a, slice_b = pa[offsets[t + 1]:offsets[t + 2]], pb[offsets[t + 1]:offsets[t + 2]]
+    a, b = slice_a.tolist(), slice_b.tolist()
+    ops = collect_unfeasible(prev, a, b)
     if not ops:
         return prev
-    ops = parity_fix(ops, prev, gates, arch.num_cores)
+    one_qubit = {g.qubits[0] for g in sliced.slices[t + 1] if len(g.qubits) == 1}
+    ops = parity_fix(ops, prev, a, b, one_qubit, arch.num_cores)
 
     residency = np.asarray(prev.core_of, dtype=np.int64)
     for op in ops:
@@ -174,16 +166,14 @@ def hqa_step(
 
     weights = None
     if config.use_attraction:
-        weights = window_matrix(sliced.num_qubits, *pair_arrays(sliced), t, DEFAULT_HORIZON)
+        weights = window_matrix(sliced.num_qubits, pa, pb, offsets, t, DEFAULT_HORIZON)
 
     remaining = list(ops)
     while remaining:
         available = int((free >= 2).sum())
         if available == 0:
-            if not _evict_idle(remaining[0], prev, gates, residency, free):
-                pa, pb, offsets = pair_arrays(sliced)
-                lo, hi = offsets[t + 1], offsets[t + 2]
-                return Assignment(tuple(place_pairs(prev.core_of, pa[lo:hi], pb[lo:hi], arch)))
+            if not _evict_idle(remaining[0], prev, {*a, *b}, residency, free):
+                return Assignment(tuple(place_pairs(prev.core_of, slice_a, slice_b, arch)))
             available = 1
         batch = remaining[: min(len(remaining), available)]
         cost = _base_cost_matrix(batch, prev, free)
@@ -201,10 +191,10 @@ def hqa_step(
 
 
 def _evict_idle(
-    op: UnfeasibleOp, prev: Assignment, gates: Sequence[Gate], residency: np.ndarray, free: np.ndarray
+    op: UnfeasibleOp, prev: Assignment, paired: set[int], residency: np.ndarray, free: np.ndarray
 ) -> bool:
-    """Move one resident that no two-qubit gate of the slice uses from a core
-    with one free slot into another such core, so the first can take a pair.
+    """Move one resident that is not ``paired`` in the slice from a core with
+    one free slot into another such core, so the first can take a pair.
 
     The source is an endpoint's home core of ``op`` when one qualifies, since
     ``op`` then costs 1 there instead of 2, else the lowest qualifying core;
@@ -216,10 +206,9 @@ def _evict_idle(
     if len(open_cores) < 2:
         return False
     homes = {prev.core_of[op.qa], prev.core_of[op.qb]}
-    in_pairs = {q for g in gates if g.is_two_qubit for q in g.qubits}
     for source in sorted(open_cores, key=lambda c: (c not in homes, c)):
         idle = next(
-            (q for q in np.flatnonzero(residency == source).tolist() if q not in in_pairs), None
+            (q for q in np.flatnonzero(residency == source).tolist() if q not in paired), None
         )
         if idle is None:
             continue

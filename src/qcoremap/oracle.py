@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assignment import Architecture
-from .circuit import Circuit, interacting_pairs, timeslice
+from .circuit import Circuit, pair_arrays, timeslice
 
 # Cost of an invalid cell; one transition adds at most 1 to it before the
 # minimum, so int32 cannot overflow.
@@ -84,13 +84,16 @@ def minimum_communications(
     if k**n > max_states:
         raise ValueError(f"{k}**{n} core vectors exceed the oracle budget of {max_states}")
     fits = _capacity_mask(arch, n)
+    pa, pb, offsets = pair_arrays(sliced)
+    low, high = np.minimum(pa, pb).tolist(), np.maximum(pa, pb).tolist()
     cost = np.zeros(k**n, dtype=np.int32)
-    for t, gates in enumerate(sliced.slices):
+    for t in range(sliced.num_slices):
         if t:
             for q in range(n):
                 view = _axis(cost, k, n, q)
                 np.minimum(view, view.min(axis=1, keepdims=True) + 1, out=view)
-        mask = _slice_mask(fits, interacting_pairs(gates), k, n)
+        lo, hi = offsets[t], offsets[t + 1]
+        mask = _slice_mask(fits, zip(low[lo:hi], high[lo:hi]), k, n)
         if not mask.any():
             raise OracleInfeasibleError(f"no valid assignment for slice {t}")
         cost[~mask] = UNREACHABLE

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from qcoremap.assignment import Architecture
-from qcoremap.circuit import Circuit, interacting_pairs, timeslice
+from qcoremap.circuit import Circuit, timeslice
 from qcoremap.oracle import OracleInfeasibleError
 
 
@@ -59,7 +59,7 @@ def minimum_communications(
 
     def valid_indices(gates) -> np.ndarray:
         keep = np.ones(len(states), dtype=bool)
-        for a, b in interacting_pairs(gates):
+        for a, b in (g.qubits for g in gates if len(g.qubits) == 2):
             keep &= states[:, a] == states[:, b]
         return np.flatnonzero(keep)
 

@@ -11,10 +11,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from qcoremap.assignment import Assignment
-from qcoremap.circuit import TimeslicedCircuit, interacting_pairs
+from qcoremap.circuit import TimeslicedCircuit, pair_arrays
 from qcoremap.hqa import UnfeasibleOp
 from qcoremap.hungarian import FORBIDDEN
-from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
+from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
+
+
+def interacting_pairs(gates) -> set[tuple[int, int]]:
+    """Unordered qubit pairs touched by two-qubit gates, as (low, high) tuples."""
+    return {(min(g.qubits), max(g.qubits)) for g in gates if len(g.qubits) == 2}
 
 
 def attraction_qubit(
@@ -69,7 +74,6 @@ def cost_attraction(
         + attraction_qubit(op.qb, core_j, residency, sliced, t, horizon)
     ) / 2.0
     return base - pull
-
 
 
 def lookahead_weight(

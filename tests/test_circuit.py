@@ -3,7 +3,7 @@ import pickle
 import pytest
 from hypothesis import given
 
-from qcoremap import Circuit, Gate, gen_ghz, interacting_pairs, timeslice
+from qcoremap import Circuit, Gate, gen_ghz, timeslice
 
 from conftest import circuits
 
@@ -108,16 +108,3 @@ class TestSliceCache:
         assert restored == circuit
         assert timeslice(restored) == timeslice(Circuit(5, circuit.gates))
 
-
-class TestInteractingPairs:
-    def test_mixed_slice(self):
-        assert interacting_pairs([h(0), cx(1, 2)]) == {(1, 2)}
-
-    def test_two_pairs(self):
-        assert interacting_pairs([cx(0, 1), cx(2, 3)]) == {(0, 1), (2, 3)}
-
-    def test_one_qubit_only(self):
-        assert interacting_pairs([h(0)]) == set()
-
-    def test_pairs_normalized_low_high(self):
-        assert interacting_pairs([cx(3, 1)]) == {(1, 3)}

@@ -147,6 +147,30 @@ class TestSweeps:
         assert main(args + ["--benchmarks", "ghz", "--replicas", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "args, empty_list",
+        [
+            (["sweep-cores", "--cores", "2", "--qubits", "8", "--mapper", "hqa"], ["--cores", ","]),
+            (["sweep-qubits", "--cores", "2", "--qubits", "8", "--mapper", "hqa"], ["--qubits", ","]),
+            (["sweep-attraction", "--capacity", "4", "--qubits", "8"], ["--qubits", ","]),
+        ],
+        ids=["sweep-cores", "sweep-qubits", "sweep-attraction"],
+    )
+    def test_no_replicas_or_empty_list_is_usage_error(self, args, empty_list, monkeypatch, capsys):
+        import qcoremap.harness
+
+        mapped = []
+        monkeypatch.setattr(qcoremap.harness, "run_single", lambda *args, **kw: mapped.append(1))
+        args = args + ["--benchmarks", "random:0.5"]
+        for bad, message in [
+            (["--replicas", "0"], "need at least one replica, got 0"),
+            (["--replicas", "-1"], "need at least one replica, got -1"),
+            (["--replicas", "1"] + empty_list, "the swept list of core or qubit counts is empty"),
+        ]:
+            assert main(args + bad) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert mapped == []
+
     def test_every_cell_checked_before_mapping(self, monkeypatch, capsys):
         import qcoremap.harness
 

@@ -20,7 +20,6 @@ from qcoremap import (
     gen_qft,
     gen_quantum_volume,
     gen_random,
-    interacting_pairs,
     is_valid,
     minimum_communications,
     roee_refine,
@@ -29,7 +28,8 @@ from qcoremap import (
 )
 from qcoremap import fgp
 from qcoremap.fgp import _substitute
-from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
+from qcoremap.circuit import pair_arrays
+from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
 from conftest import circuits
 
@@ -304,7 +304,7 @@ def reference_fgp_path(circuit, arch):
     for t, gates in enumerate(sliced.slices):
         weights = np.zeros((padded, padded))
         weights[:num_q, :num_q] = window_matrix(num_q, pa, pb, offsets, t, DEFAULT_HORIZON)
-        for a, b in interacting_pairs(gates):
+        for a, b in (g.qubits for g in gates if len(g.qubits) == 2):
             weights[a, b] = weights[b, a] = INFINITE
         part = roee_refine(weights, part)
         path.append(tuple(part[:num_q].tolist()))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from qcoremap import (
 )
 from qcoremap.hqa import UnfeasibleOp, collect_unfeasible, hqa_step, parity_fix
 
-from conftest import circuits
+from conftest import circuits, tiny_instances
 from scalar_reference import attraction_qubit, cost_attraction, cost_basic
 
 
@@ -37,63 +39,82 @@ def h(q):
     return Gate("h", (q,))
 
 
+def pairs(gates):
+    """A slice's pair endpoint lists ``(a, b)``, in gate order, as hqa reads them."""
+    two = [g.qubits for g in gates if len(g.qubits) == 2]
+    return [q[0] for q in two], [q[1] for q in two]
+
+
+def one_qubit(gates):
+    """The qubits of a slice's one-qubit gates."""
+    return {g.qubits[0] for g in gates if len(g.qubits) == 1}
+
+
+def unfeasible(prev, gates):
+    return collect_unfeasible(prev, *pairs(gates))
+
+
+def fix(ops, prev, gates, num_cores):
+    return parity_fix(ops, prev, *pairs(gates), one_qubit(gates), num_cores)
+
+
 BLOCK_2X2 = Assignment((0, 0, 1, 1))
 
 
 class TestCollectUnfeasible:
     def test_split_pair_collected(self):
-        ops = collect_unfeasible(BLOCK_2X2, [cx(1, 2)])
+        ops = unfeasible(BLOCK_2X2, [cx(1, 2)])
         assert ops == [UnfeasibleOp(1, 2)]
 
     def test_colocated_pair_ignored(self):
-        assert collect_unfeasible(BLOCK_2X2, [cx(0, 1)]) == []
+        assert unfeasible(BLOCK_2X2, [cx(0, 1)]) == []
 
     def test_gate_order_preserved(self):
         prev = Assignment((0, 0, 0, 1, 1, 1))
-        ops = collect_unfeasible(prev, [cx(2, 3), h(0), cx(1, 4)])
+        ops = unfeasible(prev, [cx(2, 3), h(0), cx(1, 4)])
         assert [op.qubits for op in ops] == [(2, 3), (1, 4)]
 
     def test_five_split_pairs_give_five_ops(self):
         # Four cores, five gates straddling core boundaries.
         prev = Assignment((0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3))
         gates = [cx(0, 3), cx(1, 6), cx(4, 9), cx(7, 10), cx(2, 11)]
-        assert len(collect_unfeasible(prev, gates)) == 5
+        assert len(unfeasible(prev, gates)) == 5
 
 
 class TestParityFix:
     def test_spec_scenario_adds_idle_pair(self):
-        ops = collect_unfeasible(BLOCK_2X2, [cx(1, 2)])
-        fixed = parity_fix(ops, BLOCK_2X2, [cx(1, 2)], num_cores=2)
+        ops = unfeasible(BLOCK_2X2, [cx(1, 2)])
+        fixed = fix(ops, BLOCK_2X2, [cx(1, 2)], num_cores=2)
         assert [op.qubits for op in fixed] == [(1, 2), (0, 3)]
         assert fixed[1].auxiliary
 
     def test_even_cores_unchanged(self):
         prev = Assignment((0, 0, 1, 1))
         gates = [cx(0, 2), cx(1, 3)]
-        ops = collect_unfeasible(prev, gates)
-        assert parity_fix(ops, prev, gates, 2) == ops
+        ops = unfeasible(prev, gates)
+        assert fix(ops, prev, gates, 2) == ops
 
     def test_prefers_idle_over_one_qubit_actor(self):
         # Core 0 residents after lifting: 0 (acts in h) and 1 (idle).
         prev = Assignment((0, 0, 0, 1, 1, 1))
         gates = [cx(2, 3), h(0)]
-        ops = collect_unfeasible(prev, gates)
-        fixed = parity_fix(ops, prev, gates, 2)
+        ops = unfeasible(prev, gates)
+        fixed = fix(ops, prev, gates, 2)
         assert [op.qubits for op in fixed] == [(2, 3), (1, 4)]
 
     def test_one_qubit_actor_used_when_no_idle(self):
         prev = Assignment((0, 0, 1, 1))
         gates = [cx(1, 2), h(0), h(3)]
-        ops = collect_unfeasible(prev, gates)
-        fixed = parity_fix(ops, prev, gates, 2)
+        ops = unfeasible(prev, gates)
+        fixed = fix(ops, prev, gates, 2)
         assert [op.qubits for op in fixed] == [(1, 2), (0, 3)]
 
     def test_feasible_pair_converted_when_core_exhausted(self):
         # Core 0: qubits 0,1 in a feasible gate, qubit 2 lifted -> odd, no spare.
         prev = Assignment((0, 0, 0, 1, 1, 1))
         gates = [cx(0, 1), cx(2, 3)]
-        ops = collect_unfeasible(prev, gates)
-        fixed = parity_fix(ops, prev, gates, 2)
+        ops = unfeasible(prev, gates)
+        fixed = fix(ops, prev, gates, 2)
         pairs = [op.qubits for op in fixed]
         assert (0, 1) in pairs  # converted feasible pair rides along
         converted = next(op for op in fixed if op.qubits == (0, 1))
@@ -117,10 +138,10 @@ class TestParityFix:
         if sliced.num_slices == 0:
             return
         gates = sliced.slices[0]
-        ops = collect_unfeasible(prev, gates)
+        ops = unfeasible(prev, gates)
         if not ops:
             return
-        fixed = parity_fix(ops, prev, gates, num_cores)
+        fixed = fix(ops, prev, gates, num_cores)
         counts = [0] * num_cores
         for op in fixed:
             for q in op.qubits:
@@ -142,22 +163,18 @@ class TestParityFix:
         if sliced.num_slices == 0:
             return
         gates = sliced.slices[0]
-        ops = collect_unfeasible(prev, gates)
-        assert parity_fix(ops, prev, gates, len(caps)) == parity_fix_per_core_scan(
-            ops, prev, gates, len(caps)
-        )
+        ops = unfeasible(prev, gates)
+        args = (*pairs(gates), one_qubit(gates), len(caps))
+        assert parity_fix(ops, prev, *args) == parity_fix_per_core_scan(ops, prev, *args)
 
 
-def parity_fix_per_core_scan(ops, prev, gates, num_cores):
+def parity_fix_per_core_scan(ops, prev, a, b, one_qubit, num_cores):
     """``parity_fix`` as first written: every qubit is scanned once per odd core."""
     core_of = prev.core_of
-    acting, in_two_qubit, partner_of = set(), set(), {}
-    for g in gates:
-        acting.update(g.qubits)
-        if g.is_two_qubit:
-            a, b = g.qubits
-            in_two_qubit.update((a, b))
-            partner_of[a], partner_of[b] = b, a
+    in_two_qubit, partner_of = set(a) | set(b), {}
+    acting = in_two_qubit | set(one_qubit)
+    for qa, qb in zip(a, b):
+        partner_of[qa], partner_of[qb] = qb, qa
     out = list(ops)
     lifted = {q for op in out for q in op.qubits}
     counts = [0] * num_cores
@@ -258,7 +275,8 @@ class TestCostMatrixConsistency:
 
         from qcoremap import gen_random
         from qcoremap.hqa import _attraction_matrix, _base_cost_matrix
-        from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
+        from qcoremap.circuit import pair_arrays
+        from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
         circuit = gen_random(8, cycles=6, p=0.5, seed=21)
         sliced = timeslice(circuit)
@@ -266,10 +284,10 @@ class TestCostMatrixConsistency:
         prev = initial_assignment(8, arch)
         for t in range(-1, 3):
             gates = sliced.slices[t + 1]
-            ops = collect_unfeasible(prev, gates)
+            ops = unfeasible(prev, gates)
             if not ops:
                 continue
-            ops = parity_fix(ops, prev, gates, arch.num_cores)
+            ops = fix(ops, prev, gates, arch.num_cores)
             residency = np.asarray(prev.core_of, dtype=np.int64)
             for op in ops:
                 residency[op.qa] = residency[op.qb] = -1
@@ -384,9 +402,9 @@ class TestMapCircuit:
         assignments = (initial_assignment(circuit.num_qubits, arch),) + path.assignments
         for t in range(len(assignments) - 1):
             before, after = assignments[t], assignments[t + 1]
-            ops = collect_unfeasible(before, sliced.slices[t])
+            ops = unfeasible(before, sliced.slices[t])
             if ops:
-                ops = parity_fix(ops, before, sliced.slices[t], arch.num_cores)
+                ops = fix(ops, before, sliced.slices[t], arch.num_cores)
             touched = {q for op in ops for q in op.qubits}
             expected_moves = 0
             for q in range(circuit.num_qubits):
@@ -448,9 +466,7 @@ class TestTotalOnFeasibleInput:
             hqa_step(prev, sliced, -1, Architecture(2, 3))
 
     def test_pair_slot_rule_shared_with_fgp(self):
-        # One check and one placement, in qcoremap.assignment, serve both
-        # mappers; qcoremap.hqa still exposes the error's name.
-        assert hqa.MappingInfeasibleError is assignment_module.MappingInfeasibleError
+        # One check and one placement, in qcoremap.assignment, serve both mappers.
         assert MappingInfeasibleError is assignment_module.MappingInfeasibleError
         assert fgp.check_pair_slots is hqa.check_pair_slots is assignment_module.check_pair_slots
         assert fgp.place_pairs is hqa.place_pairs is assignment_module.place_pairs
@@ -479,3 +495,36 @@ class TestTotalOnFeasibleInput:
             return
         assert feasible
         validate_path(path, sliced.slices, arch)
+
+
+class TestPinnedTinyPaths:
+    """hqa's paths on tiny odd, non-uniform or partly filled instances, the
+    inputs that reach parity's leftover spares, idle evictions and the
+    ``place_pairs`` fallback, which the paper sweeps never do."""
+
+    # sha256 of each instance's path with attraction off, then on (or the
+    # error's name), one line per call, captured when hqa still walked the
+    # slice's Gate objects.
+    DIGEST = "86636c6bd4f11c237575be2305702e42ebf653354563bb04fd8f58146ecb0345"
+
+    def test_paths_match_pinned_digest(self, monkeypatch):
+        def logged(log, original):
+            def wrapper(*args):
+                log.append(original(*args))
+                return log[-1]
+            return wrapper
+
+        evictions, fallbacks = [], []
+        monkeypatch.setattr(hqa, "_evict_idle", logged(evictions, hqa._evict_idle))
+        monkeypatch.setattr(hqa, "place_pairs", logged(fallbacks, hqa.place_pairs))
+        lines = []
+        for circuit, arch in tiny_instances():
+            for attraction in (False, True):
+                try:
+                    path = map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
+                except (CapacityError, MappingInfeasibleError) as exc:
+                    lines.append(type(exc).__name__)
+                    continue
+                lines.append(repr([a.core_of for a in path.assignments]))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+        assert True in evictions and fallbacks

@@ -20,7 +20,8 @@ from fgp_reference import roee_refine_loops
 from qcoremap import fgp, hqa
 from qcoremap.fgp import fgp_map_circuit, roee_refine
 from qcoremap.hungarian import TOL, _jv_rectangular, _lex_canonical, solve
-from qcoremap.lookahead import INFINITE, pair_arrays, window_matrix
+from qcoremap.circuit import pair_arrays
+from qcoremap.lookahead import INFINITE, window_matrix
 from qcoremap import (
     Architecture,
     HqaConfig,
@@ -29,7 +30,6 @@ from qcoremap import (
     gen_qft,
     gen_quantum_volume,
     gen_random,
-    interacting_pairs,
     map_circuit,
     timeslice,
 )
@@ -284,7 +284,8 @@ def scalar_window(sliced, t, horizon):
     n = sliced.num_qubits
     spec = np.zeros((n, n))
     last = min(sliced.num_slices - 1, t + horizon)
-    support = set().union(*(interacting_pairs(sliced.slices[m]) for m in range(t + 1, last + 1)))
+    pair_set = scalar_reference.interacting_pairs
+    support = set().union(*(pair_set(sliced.slices[m]) for m in range(t + 1, last + 1)))
     for a, b in support:
         spec[a, b] = spec[b, a] = scalar_reference.lookahead_weight(sliced, t, a, b, horizon)
     return spec
@@ -306,7 +307,7 @@ def test_window_matrix_matches_scalar_definition(circuit, monkeypatch):
     # only the support is evaluated; each slice's pair set is computed once
     # so that the scalar definition runs at n = 120.
     sliced = timeslice(circuit)
-    pair_sets = {id(gates): interacting_pairs(gates) for gates in sliced.slices}
+    pair_sets = {id(gates): scalar_reference.interacting_pairs(gates) for gates in sliced.slices}
     monkeypatch.setattr(
         scalar_reference, "interacting_pairs", lambda gates: pair_sets[id(gates)]
     )

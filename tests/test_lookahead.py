@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qcoremap import INFINITE, Architecture, Circuit, Gate, fgp_map_circuit, gen_qft, timeslice
 from qcoremap import fgp
-from qcoremap.lookahead import DEFAULT_HORIZON, pair_arrays, window_matrix
+from qcoremap.circuit import pair_arrays
+from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
 from conftest import circuits
 from scalar_reference import lookahead_weight

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_reference as reference
-from conftest import circuits
+from conftest import circuits, tiny_instances
 from qcoremap import (
     Architecture,
     CapacityError,
@@ -147,3 +148,12 @@ class TestMappersNeverBeatOracle:
         fgp = count_communications(fgp_map_circuit(circuit, arch))
         assert hqa >= optimum
         assert fgp >= optimum
+
+
+def test_tiny_optima_match_pinned_digest():
+    # sha256 of the optimum (or "infeasible") of each instance of
+    # conftest.tiny_instances(), one line each, captured when the oracle still
+    # read each slice's pairs from its Gate objects.
+    lines = [str(_optimum(minimum_communications, c, arch)) for c, arch in tiny_instances()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f32d11c657828143aaa7d811ffe277eb5960337e977af8ec606e55ecb47eb2f9"

@@ -129,7 +129,7 @@ def _attraction_matrix(
     onehot[resident, residency[resident]] = 1.0
     qa = [op.qa for op in ops]
     qb = [op.qb for op in ops]
-    return (weights[qa] + weights[qb]) @ onehot / 2.0
+    return (weights.take(qa, axis=0) + weights.take(qb, axis=0)) @ onehot / 2.0
 
 
 def hqa_step(
@@ -149,8 +149,8 @@ def hqa_step(
     (``_evict_idle``), or else ``place_pairs`` places the slice afresh.
     """
     pa, pb, offsets = pair_arrays(sliced)
-    slice_a, slice_b = pa[offsets[t + 1]:offsets[t + 2]], pb[offsets[t + 1]:offsets[t + 2]]
-    a, b = slice_a.tolist(), slice_b.tolist()
+    lo, hi = offsets[t + 1], offsets[t + 2]
+    a, b = pa[lo:hi].tolist(), pb[lo:hi].tolist()
     ops = collect_unfeasible(prev, a, b)
     if not ops:
         return prev
@@ -173,7 +173,7 @@ def hqa_step(
         available = int((free >= 2).sum())
         if available == 0:
             if not _evict_idle(remaining[0], prev, {*a, *b}, residency, free):
-                return Assignment(tuple(place_pairs(prev.core_of, slice_a, slice_b, arch)))
+                return Assignment(tuple(place_pairs(prev.core_of, pa[lo:hi], pb[lo:hi], arch)))
             available = 1
         batch = remaining[: min(len(remaining), available)]
         cost = _base_cost_matrix(batch, prev, free)

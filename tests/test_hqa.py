@@ -39,7 +39,7 @@ def h(q):
     return Gate("h", (q,))
 
 
-def pairs(gates):
+def slice_pairs(gates):
     """A slice's pair endpoint lists ``(a, b)``, in gate order, as hqa reads them."""
     two = [g.qubits for g in gates if len(g.qubits) == 2]
     return [q[0] for q in two], [q[1] for q in two]
@@ -51,11 +51,11 @@ def one_qubit(gates):
 
 
 def unfeasible(prev, gates):
-    return collect_unfeasible(prev, *pairs(gates))
+    return collect_unfeasible(prev, *slice_pairs(gates))
 
 
 def fix(ops, prev, gates, num_cores):
-    return parity_fix(ops, prev, *pairs(gates), one_qubit(gates), num_cores)
+    return parity_fix(ops, prev, *slice_pairs(gates), one_qubit(gates), num_cores)
 
 
 BLOCK_2X2 = Assignment((0, 0, 1, 1))
@@ -164,7 +164,7 @@ class TestParityFix:
             return
         gates = sliced.slices[0]
         ops = unfeasible(prev, gates)
-        args = (*pairs(gates), one_qubit(gates), len(caps))
+        args = (*slice_pairs(gates), one_qubit(gates), len(caps))
         assert parity_fix(ops, prev, *args) == parity_fix_per_core_scan(ops, prev, *args)
 
 

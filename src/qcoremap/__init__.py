@@ -15,7 +15,6 @@ from .assignment import (
     MappingValidationError,
     count_communications,
     initial_assignment,
-    is_valid,
     validate_path,
 )
 from .circuit import Circuit, Gate, TimeslicedCircuit, timeslice
@@ -67,7 +66,6 @@ __all__ = [
     "gen_random",
     "hqa_step",
     "initial_assignment",
-    "is_valid",
     "map_circuit",
     "minimum_communications",
     "parse_qasm",

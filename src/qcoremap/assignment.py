@@ -6,17 +6,22 @@ cores are involved: connectivity is all-to-all within and between cores.
 
 A slice with P pairs over n qubits fits iff ``sum_j floor(c_j / 2) >= P`` and
 ``sum_j c_j >= n``; both mappers check it, and place pairs, with this module.
+
+``validate_path`` is the one validity check for a mapper's output and
+``count_communications`` the one relocation count. Both treat a slice whose
+row equals the previous slice's as unchanged, whether or not the mapper
+reused the previous ``Assignment`` object.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .circuit import Gate
 from .hungarian import solve
 
 
@@ -77,16 +82,6 @@ class Assignment:
 
     def __post_init__(self):
         object.__setattr__(self, "core_of", tuple(map(int, self.core_of)))
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.core_of)
-
-    def loads(self, num_cores: int) -> list[int]:
-        counts = [0] * num_cores
-        for c in self.core_of:
-            counts[c] += 1
-        return counts
 
 
 def initial_assignment(num_qubits: int, arch: Architecture) -> Assignment:
@@ -153,34 +148,6 @@ def place_pairs(core_of: Sequence[int], a: np.ndarray, b: np.ndarray, arch: Arch
     return placed
 
 
-def is_valid(assignment: Assignment, gates: Iterable[Gate], arch: Architecture) -> bool:
-    """True iff every two-qubit gate is co-located and no core exceeds capacity.
-
-    Raises MappingValidationError when a core index lies outside the
-    architecture: such an assignment is malformed, not merely invalid.
-    """
-    core_of = assignment.core_of
-    cores = set(range(arch.num_cores))
-    if not cores.issuperset(core_of):
-        bad = sorted(set(core_of) - cores)
-        raise MappingValidationError(
-            f"core indices {bad} lie outside 0..{arch.num_cores - 1}"
-        )
-    loads = assignment.loads(arch.num_cores)
-    if any(load > cap for load, cap in zip(loads, arch.capacities)):
-        return False
-    return _pairs_co_located(core_of, gates)
-
-
-def _pairs_co_located(core_of: Sequence[int], gates: Iterable[Gate]) -> bool:
-    """True iff both qubits of every two-qubit gate share a core."""
-    for g in gates:
-        qubits = g.qubits
-        if len(qubits) == 2 and core_of[qubits[0]] != core_of[qubits[1]]:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class AssignmentPath:
     """One assignment per timeslice; the mapper's output."""
@@ -218,42 +185,67 @@ class AssignmentPath:
 
 
 def count_communications(path: AssignmentPath | Sequence[Assignment]) -> int:
-    """Total qubit relocations across consecutive assignments.
+    """Total qubit relocations across consecutive assignments: the entries
+    in which each slice's row differs from the previous slice's.
 
     The first assignment is the free initial layout; nothing is charged for it.
-    A slice that keeps the previous slice's assignment object moves nothing.
     """
-    assignments = path.assignments if isinstance(path, AssignmentPath) else tuple(path)
+    assignments = path.assignments if isinstance(path, AssignmentPath) else path
+    rows = [a.core_of for a in assignments]
     total = 0
-    for before, after in zip(assignments, assignments[1:]):
-        if before is not after:
-            total += sum(a != b for a, b in zip(before.core_of, after.core_of))
+    for before, after in zip(rows, rows[1:]):
+        if before is not after and before != after:
+            total += sum(map(operator.ne, before, after))
     return total
 
 
 def validate_path(path: AssignmentPath, sliced_slices, arch: Architecture) -> None:
-    """Raise MappingValidationError unless every slice's assignment is valid
-    and places exactly the path's qubits.
+    """Raise MappingValidationError, naming the slice, unless the path has one
+    assignment per slice and every slice's row places exactly the path's
+    qubits on cores ``0..num_cores-1``, fills no core past its capacity, and
+    puts both qubits of each of the slice's two-qubit gates on one core.
 
-    Assignments are immutable, so when a slice reuses the previous slice's
-    assignment object, its range, length and capacity are already checked;
-    only the co-location of the new slice's pairs is.
+    This is the one validity check. A row equal to the previous slice's has
+    passed the checks that depend on the row alone, so for it only the
+    co-location of the new slice's pairs is checked.
     """
     if path.num_slices != len(sliced_slices):
         raise MappingValidationError(
             f"path has {path.num_slices} assignments for {len(sliced_slices)} slices"
         )
+    cores = set(range(arch.num_cores))
+    capacities = arch.capacities
     checked = None
     for t, (assignment, gates) in enumerate(zip(path.assignments, sliced_slices)):
-        if assignment is checked:
-            if not _pairs_co_located(assignment.core_of, gates):
-                raise MappingValidationError(f"assignment for slice {t} is invalid")
-            continue
-        if assignment.num_qubits != path.num_qubits:
+        core_of = assignment.core_of
+        if core_of is not checked and core_of != checked:
+            if len(core_of) != path.num_qubits:
+                raise MappingValidationError(
+                    f"assignment for slice {t} places {len(core_of)} qubits, "
+                    f"path has {path.num_qubits}"
+                )
+            if not cores.issuperset(core_of):
+                raise MappingValidationError(
+                    f"assignment for slice {t} uses core indices "
+                    f"{sorted(set(core_of) - cores)} outside 0..{arch.num_cores - 1}"
+                )
+            loads = [0] * arch.num_cores
+            for core in core_of:
+                loads[core] += 1
+            if any(map(operator.gt, loads, capacities)):
+                raise MappingValidationError(
+                    f"assignment for slice {t} is invalid: a core holds more than its capacity"
+                )
+            checked = core_of
+        try:
+            for g in gates:
+                qubits = g.qubits
+                if len(qubits) == 2 and core_of[qubits[0]] != core_of[qubits[1]]:
+                    raise MappingValidationError(
+                        f"assignment for slice {t} is invalid: it splits the pair {qubits}"
+                    )
+        except IndexError:
             raise MappingValidationError(
-                f"assignment for slice {t} places {assignment.num_qubits} qubits, "
-                f"path has {path.num_qubits}"
-            )
-        if not is_valid(assignment, gates, arch):
-            raise MappingValidationError(f"assignment for slice {t} is invalid")
-        checked = assignment
+                f"assignment for slice {t} places {len(core_of)} qubits, "
+                f"but the slice acts on a qubit beyond them"
+            ) from None

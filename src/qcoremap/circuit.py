@@ -34,10 +34,6 @@ class Gate:
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"gate '{self.label}' has a negative qubit index: {self.qubits}")
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return len(self.qubits) == 2
-
 
 def _unchecked_gate(label: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> Gate:
     """A Gate built without ``__post_init__``, for a caller that has made its
@@ -69,10 +65,6 @@ class Circuit:
         for g in self.gates:
             if max(g.qubits) >= self.num_qubits:
                 raise ValueError(f"gate '{g.label}' on {g.qubits} exceeds {self.num_qubits} qubits")
-
-    @property
-    def two_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if g.is_two_qubit)
 
 
 def _unchecked_circuit(num_qubits: int, gates: tuple[Gate, ...]) -> Circuit:

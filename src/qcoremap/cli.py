@@ -17,7 +17,7 @@ from .assignment import (
     count_communications,
     validate_path,
 )
-from .circuit import timeslice
+from .circuit import pair_arrays, timeslice
 from .fgp import fgp_map_circuit
 from .generators import FAMILIES, BenchmarkSpec
 from .harness import (
@@ -166,7 +166,7 @@ def _cmd_map(args) -> int:
         {
             "num_qubits": circuit.num_qubits,
             "num_slices": sliced.num_slices,
-            "num_2q_gates": circuit.two_qubit_count,
+            "num_2q_gates": len(pair_arrays(sliced)[0]),
             "mapper": _MAPPER_FLAGS[args.mapper],
             "communications": count_communications(path),
         },

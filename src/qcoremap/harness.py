@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, fields
 
 from .assignment import Architecture, count_communications, validate_path
-from .circuit import Circuit, timeslice
+from .circuit import Circuit, pair_arrays, timeslice
 from .fgp import fgp_map_circuit
 from .generators import BenchmarkSpec
 from .hqa import HqaConfig, map_circuit
@@ -123,7 +123,7 @@ def run_single(
         use_attraction=use_attraction if mapper == MAPPER_HQA else False,
         seed=spec.seed if spec.seed is not None else 0,
         num_slices=sliced.num_slices,
-        num_2q_gates=circuit.two_qubit_count,
+        num_2q_gates=len(pair_arrays(sliced)[0]),
         communications=count_communications(path),
         wall_time_ms=elapsed_ms,
     )

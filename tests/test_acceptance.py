@@ -19,11 +19,11 @@ from qcoremap import (
     count_communications,
     fgp_map_circuit,
     gen_random,
-    is_valid,
     map_circuit,
     minimum_communications,
     solve,
     timeslice,
+    validate_path,
 )
 from qcoremap.cli import main as cli_main
 from qcoremap.harness import (
@@ -116,8 +116,7 @@ def test_criterion_2_validity_suite():
                     else:
                         path = fgp_map_circuit(circuit, arch)
                     assert path.num_slices == sliced.num_slices
-                    for assignment, gates in zip(path.assignments, sliced.slices):
-                        assert is_valid(assignment, gates, arch)
+                    validate_path(path, sliced.slices, arch)
                     runs += 1
     elapsed = time.perf_counter() - started
     _report(

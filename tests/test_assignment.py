@@ -1,5 +1,15 @@
+"""Architectures, assignments, the path check and the relocation count.
+
+``perfbench/checker.py`` re-derives validity and the relocation count from
+the problem statement without calling qcoremap; it is loaded by file path
+because perfbench/ is not a package.
+"""
+
+import importlib.util
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoremap import (
@@ -12,10 +22,17 @@ from qcoremap import (
     MappingValidationError,
     count_communications,
     initial_assignment,
-    is_valid,
     timeslice,
     validate_path,
 )
+
+from conftest import circuits
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_checker", Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
+)
+checker = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checker)
 
 
 def cx(a, b):
@@ -57,26 +74,33 @@ class TestInitialAssignment:
         assert initial_assignment(5, arch).core_of == (0, 1, 1, 1, 2)
 
 
+def validate_one(core_of, *gates):
+    """validate_path on a one-slice path over 2 cores of capacity 2."""
+    validate_path(path_of(core_of), (gates,), Architecture(2, 2))
+
+
 class TestIsValid:
+    """The per-slice rules, each on a one-slice path."""
+
     def test_colocated_pair(self):
-        arch = Architecture(2, 2)
-        assert is_valid(Assignment((0, 0, 1, 1)), [cx(0, 1)], arch)
+        validate_one((0, 0, 1, 1), cx(0, 1))
 
     def test_split_pair_invalid(self):
-        arch = Architecture(2, 2)
-        assert not is_valid(Assignment((0, 1, 1, 0)), [cx(0, 1)], arch)
+        with pytest.raises(MappingValidationError, match="slice 0"):
+            validate_one((0, 1, 1, 0), cx(0, 1))
 
     def test_empty_slice_valid(self):
-        assert is_valid(Assignment((0, 0, 1, 1)), [], Architecture(2, 2))
+        validate_one((0, 0, 1, 1))
 
     def test_overloaded_core_invalid(self):
-        assert not is_valid(Assignment((0, 0, 0, 1)), [], Architecture(2, 2))
+        with pytest.raises(MappingValidationError, match="slice 0"):
+            validate_one((0, 0, 0, 1))
 
     @pytest.mark.parametrize("core_of", [(0, -1, -1), (0, 2, 1), (5,)])
     def test_core_out_of_range_rejected(self, core_of):
         # A leaked LIFTED (-1) must not be counted on the last core.
-        with pytest.raises(MappingValidationError):
-            is_valid(Assignment(core_of), [], Architecture(2, 2))
+        with pytest.raises(MappingValidationError, match="slice 0"):
+            validate_one(core_of)
 
 
 def path_of(*rows, num_cores=2, capacity=2):
@@ -86,6 +110,13 @@ def path_of(*rows, num_cores=2, capacity=2):
         capacity=capacity,
         assignments=tuple(Assignment(tuple(r)) for r in rows),
     )
+
+
+# A later slice either reuses the earlier Assignment object or holds an equal
+# copy of its row; the path check and the count must treat both alike.
+REUSED = pytest.mark.parametrize(
+    "again", [lambda a: a, lambda a: Assignment(a.core_of)], ids=["shared", "equal"]
+)
 
 
 class TestValidatePath:
@@ -109,24 +140,32 @@ class TestValidatePath:
         with pytest.raises(MappingValidationError):
             validate_path(path, self.slices(4, cx(0, 1)), Architecture(2, 2))
 
-    def test_shared_assignment_checked_on_every_slice(self):
-        # One object for three slices: valid for (0, 1), then (2, 3), but the
+    def test_path_narrower_than_circuit_rejected(self):
+        path = AssignmentPath(3, 2, 2, (Assignment((0, 0, 1)),))
+        with pytest.raises(MappingValidationError, match="slice 0"):
+            validate_path(path, self.slices(4, cx(2, 3)), Architecture(2, 2))
+
+    @REUSED
+    def test_shared_assignment_checked_on_every_slice(self, again):
+        # One row for three slices: valid for (0, 1), then (2, 3), but the
         # third slice's pair (1, 2) is split, so the check must not be skipped.
         shared = Assignment((0, 0, 1, 1))
-        path = AssignmentPath(4, 2, 2, (shared, shared, shared))
+        path = AssignmentPath(4, 2, 2, (shared, again(shared), again(shared)))
         slices = self.slices(4, cx(0, 1), cx(2, 3), cx(1, 0), cx(1, 2))
         assert len(slices) == 3
         with pytest.raises(MappingValidationError, match="slice 2"):
             validate_path(path, slices, Architecture(2, 2))
 
-    def test_shared_assignment_accepted(self):
+    @REUSED
+    def test_shared_assignment_accepted(self, again):
         shared = Assignment((0, 0, 1, 1))
-        path = AssignmentPath(4, 2, 2, (shared, shared))
+        path = AssignmentPath(4, 2, 2, (shared, again(shared)))
         validate_path(path, self.slices(4, cx(0, 1), cx(1, 0)), Architecture(2, 2))
 
-    def test_over_capacity_caught_after_shared_run(self):
+    @REUSED
+    def test_over_capacity_caught_after_shared_run(self, again):
         shared = Assignment((0, 0, 1, 1))
-        path = AssignmentPath(4, 2, 2, (shared, shared, Assignment((0, 0, 0, 1))))
+        path = AssignmentPath(4, 2, 2, (shared, again(shared), Assignment((0, 0, 0, 1))))
         slices = self.slices(4, cx(0, 1), cx(1, 0), cx(0, 1))
         with pytest.raises(MappingValidationError, match="slice 2"):
             validate_path(path, slices, Architecture(2, 2))
@@ -179,7 +218,7 @@ class TestCountSharedAssignments:
     @given(
         st.lists(
             st.tuples(
-                st.booleans(),
+                st.sampled_from(("new", "shared", "equal")),
                 st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4),
             ),
             min_size=1,
@@ -187,10 +226,13 @@ class TestCountSharedAssignments:
         )
     )
     def test_equals_pairwise_definition(self, steps):
-        # Each step either reuses the previous object or builds a new one.
+        # Each step reuses the previous object, copies its row, or builds a new row.
         path = []
-        for reuse, row in steps:
-            path.append(path[-1] if reuse and path else Assignment(tuple(row)))
+        for step, row in steps:
+            if step == "new" or not path:
+                path.append(Assignment(tuple(row)))
+            else:
+                path.append(path[-1] if step == "shared" else Assignment(path[-1].core_of))
         expected = sum(
             sum(1 for a, b in zip(before.core_of, after.core_of) if a != b)
             for before, after in zip(path, path[1:])
@@ -198,6 +240,70 @@ class TestCountSharedAssignments:
         assert count_communications(path) == expected
         rebuilt = [Assignment(a.core_of) for a in path]  # no shared objects
         assert count_communications(rebuilt) == expected
+
+
+@st.composite
+def paths_for(draw, circuit):
+    """A path over ``circuit``'s slicing on 1-3 cores of capacity 1-5 that
+    mixes reused objects, equal copies and fresh rows.
+
+    A fresh row puts the slice's pairs, then its other qubits, on drawn cores
+    with room, so it is valid unless the room runs out (the overflow goes to
+    core 0). Some fresh rows then take one fault: a core -1 or k, a split
+    pair or a missing last entry. Some paths also miss or add a slice.
+    """
+    n = circuit.num_qubits
+    slices = timeslice(circuit).slices
+    capacities = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    k = len(capacities)
+    num_slices = len(slices) + draw(st.sampled_from((0,) * 8 + (-1, 1)))
+    assignments = []
+    for t in range(max(num_slices, 0)):
+        step = draw(st.sampled_from(("new", "new", "shared", "equal")))
+        if assignments and step != "new":
+            previous = assignments[-1]
+            assignments.append(previous if step == "shared" else Assignment(previous.core_of))
+            continue
+        gates = slices[t] if t < len(slices) else ()
+        pairs = [g.qubits for g in gates if len(g.qubits) == 2]
+        paired = {q for pair in pairs for q in pair}
+        room = list(capacities)
+        core_of = [0] * n
+        for group in pairs + [(q,) for q in range(n) if q not in paired]:
+            fits = [c for c, r in enumerate(room) if r >= len(group)]
+            core = draw(st.sampled_from(fits)) if fits else 0
+            room[core] -= len(group)
+            for q in group:
+                core_of[q] = core
+        fault = draw(st.sampled_from(("none",) * 6 + ("low", "high", "split", "short")))
+        if fault == "short":
+            core_of.pop()
+        elif fault == "split" and pairs:
+            a, _ = draw(st.sampled_from(pairs))
+            core_of[a] = (core_of[a] + 1) % k
+        elif fault in ("low", "high"):
+            core_of[draw(st.integers(0, n - 1))] = -1 if fault == "low" else k
+        assignments.append(Assignment(tuple(core_of)))
+    arch = Architecture(k, max(capacities), core_capacities=capacities)
+    return AssignmentPath(n, k, max(capacities), tuple(assignments)), arch
+
+
+class TestAgainstChecker:
+    @given(st.data(), circuits(max_qubits=5, max_gates=10))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_and_count_match(self, data, circuit):
+        path, arch = data.draw(paths_for(circuit))
+        layers = checker.asap_layers(circuit.num_qubits, [g.qubits for g in circuit.gates])
+        problem, relocations = checker.check_path(
+            circuit.num_qubits, layers, arch.capacities, [a.core_of for a in path.assignments]
+        )
+        try:
+            validate_path(path, timeslice(circuit).slices, arch)
+        except MappingValidationError:
+            assert problem is not None
+        else:
+            assert problem is None
+            assert count_communications(path) == relocations
 
 
 class TestPathJson:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from qcoremap import Circuit, Gate, gen_ghz, timeslice
+from qcoremap.circuit import pair_arrays
 
 from conftest import circuits
 
@@ -26,8 +27,9 @@ class TestGateInvariants:
             Gate("ccx", (0, 1, 2))
 
     def test_kind_matches_arity(self):
-        assert not h(0).is_two_qubit
-        assert cx(0, 1).is_two_qubit
+        # The pair arrays hold the two-qubit gates and only those.
+        a, b, offsets = pair_arrays(timeslice(Circuit(3, (h(0), cx(1, 2), h(1)))))
+        assert (a.tolist(), b.tolist(), offsets.tolist()) == ([1], [2], [0, 1, 1])
 
     def test_gate_index_out_of_range(self):
         with pytest.raises(ValueError, match="exceeds"):

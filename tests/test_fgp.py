@@ -20,7 +20,6 @@ from qcoremap import (
     gen_qft,
     gen_quantum_volume,
     gen_random,
-    is_valid,
     minimum_communications,
     roee_refine,
     timeslice,
@@ -198,8 +197,7 @@ class TestFgpMapCircuit:
         arch = Architecture(2, 2)
         sliced = timeslice(circuit)
         path = fgp_map_circuit(circuit, arch)
-        for assignment, gates in zip(path.assignments, sliced.slices):
-            assert is_valid(assignment, gates, arch)
+        validate_path(path, sliced.slices, arch)
         assert count_communications(path) >= minimum_communications(circuit, arch)
 
     def test_no_two_qubit_gates_zero_communications(self):
@@ -212,10 +210,8 @@ class TestFgpMapCircuit:
         circuit = Circuit(5, (Gate("cx", (0, 4)), Gate("cx", (1, 3))))
         arch = Architecture(2, 4)
         path = fgp_map_circuit(circuit, arch)
-        sliced = timeslice(circuit)
-        for assignment, gates in zip(path.assignments, sliced.slices):
-            assert is_valid(assignment, gates, arch)
-            assert assignment.num_qubits == 5
+        assert path.num_qubits == 5
+        validate_path(path, timeslice(circuit).slices, arch)
 
     def test_heterogeneous_capacities_rejected(self):
         arch = Architecture(2, 2, core_capacities=(2, 4))
@@ -231,8 +227,7 @@ class TestFgpMapCircuit:
         sliced = timeslice(circuit)
         path = fgp_map_circuit(circuit, arch)
         assert path.num_slices == sliced.num_slices
-        for assignment, gates in zip(path.assignments, sliced.slices):
-            assert is_valid(assignment, gates, arch)
+        validate_path(path, sliced.slices, arch)
 
 
 def cx(a, b):
@@ -281,7 +276,7 @@ class TestTotalOnFeasibleInput:
         sliced = timeslice(circuit)
         slots = num_cores * (capacity // 2)
         feasible = num_cores * capacity >= circuit.num_qubits and all(
-            sum(1 for g in gates if g.is_two_qubit) <= slots for gates in sliced.slices
+            sum(1 for g in gates if len(g.qubits) == 2) <= slots for gates in sliced.slices
         )
         try:
             path = fgp_map_circuit(circuit, arch)

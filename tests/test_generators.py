@@ -10,11 +10,16 @@ from qcoremap import (
     gen_random,
     timeslice,
 )
+from qcoremap.circuit import pair_arrays
 
 # Hand-enumerated once from the construction: a 1-bit adder is
 # MAJ (2 cx + 6-cx Toffoli), the carry-out cx, UMA (6-cx Toffoli + 2 cx).
 CUCCARO_1BIT_TWO_QUBIT_GATES = 17
 CUCCARO_PER_BIT_TWO_QUBIT_GATES = 16  # one MAJ + one UMA
+
+
+def pair_count(circuit):
+    return len(pair_arrays(timeslice(circuit))[0])
 
 
 class TestGhz:
@@ -50,7 +55,7 @@ class TestQft:
         assert [(g.label, g.qubits) for g in gen_qft(1).gates] == [("h", (0,))]
 
     def test_two_qubit_count_n10(self):
-        assert gen_qft(10).two_qubit_count == 50
+        assert pair_count(gen_qft(10)) == 50
 
 
 class TestCuccaro:
@@ -58,11 +63,11 @@ class TestCuccaro:
         assert gen_cuccaro(4).num_qubits == 10
 
     def test_golden_two_qubit_count_1bit(self):
-        assert gen_cuccaro(1).two_qubit_count == CUCCARO_1BIT_TWO_QUBIT_GATES
+        assert pair_count(gen_cuccaro(1)) == CUCCARO_1BIT_TWO_QUBIT_GATES
 
     def test_two_qubit_count_scales_per_bit(self):
         for bits in (2, 3, 8):
-            assert gen_cuccaro(bits).two_qubit_count == (
+            assert pair_count(gen_cuccaro(bits)) == (
                 CUCCARO_PER_BIT_TWO_QUBIT_GATES * bits + 1
             )
 
@@ -73,7 +78,7 @@ class TestCuccaro:
 class TestQuantumVolume:
     def test_two_qubit_count(self):
         circuit = gen_quantum_volume(9, depth=5, seed=3)
-        assert circuit.two_qubit_count == 5 * 3 * 4
+        assert pair_count(circuit) == 5 * 3 * 4
 
     def test_deterministic_for_seed(self):
         assert gen_quantum_volume(6, 4, 7) == gen_quantum_volume(6, 4, 7)
@@ -83,19 +88,19 @@ class TestQuantumVolume:
 
     def test_minimal_instance(self):
         circuit = gen_quantum_volume(2, 1, 0)
-        assert circuit.two_qubit_count == 3
-        assert all(g.label == "cx" for g in circuit.gates if g.is_two_qubit)
+        assert pair_count(circuit) == 3
+        assert all(g.label == "cx" for g in circuit.gates if len(g.qubits) == 2)
 
 
 class TestGrover:
     def test_two_qubit_count_per_iteration(self):
         for n in (2, 5, 9):
             for iters in (1, 3):
-                assert gen_grover(n, iters).two_qubit_count == iters * 4 * (n - 1)
+                assert pair_count(gen_grover(n, iters)) == iters * 4 * (n - 1)
 
     def test_minimal_instance(self):
         circuit = gen_grover(2, 1)
-        assert circuit.two_qubit_count == 4
+        assert pair_count(circuit) == 4
 
     def test_ladder_serializes(self):
         # Each ladder step depends on the previous; slices inside a ladder are singletons.
@@ -105,16 +110,16 @@ class TestGrover:
 
 class TestRandom:
     def test_density_zero_means_no_two_qubit_gates(self):
-        assert gen_random(8, 10, 0.0, 5).two_qubit_count == 0
+        assert pair_count(gen_random(8, 10, 0.0, 5)) == 0
 
     def test_density_one_pairs_everything(self):
         circuit = gen_random(8, 10, 1.0, 5)
-        assert circuit.two_qubit_count == 10 * 4
+        assert pair_count(circuit) == 10 * 4
 
     def test_exact_pair_count(self):
         for p in (0.3, 0.5, 0.8):
             circuit = gen_random(10, 7, p, 1)
-            assert circuit.two_qubit_count == 7 * int(p * 10 / 2)
+            assert pair_count(circuit) == 7 * int(p * 10 / 2)
 
     def test_deterministic_for_seed(self):
         assert gen_random(6, 5, 0.5, 9) == gen_random(6, 5, 0.5, 9)
@@ -129,22 +134,22 @@ class TestRandom:
 def test_count_formulas_hold_across_sweep(family):
     for n in range(2, 65):
         if family == "ghz":
-            assert gen_ghz(n).two_qubit_count == n - 1
+            assert pair_count(gen_ghz(n)) == n - 1
         elif family == "qft":
-            assert gen_qft(n).two_qubit_count == n * (n - 1) // 2 + n // 2
+            assert pair_count(gen_qft(n)) == n * (n - 1) // 2 + n // 2
         elif family == "grover":
-            assert gen_grover(n, 1).two_qubit_count == 4 * (n - 1)
+            assert pair_count(gen_grover(n, 1)) == 4 * (n - 1)
         elif family == "quantum_volume":
-            assert gen_quantum_volume(n, 2, 0).two_qubit_count == 2 * 3 * (n // 2)
+            assert pair_count(gen_quantum_volume(n, 2, 0)) == 2 * 3 * (n // 2)
         else:
-            assert gen_random(n, 3, 0.5, 0).two_qubit_count == 3 * int(0.5 * n / 2)
+            assert pair_count(gen_random(n, 3, 0.5, 0)) == 3 * int(0.5 * n / 2)
 
 
 def test_cuccaro_formula_across_sweep():
     for bits in range(1, 32):
         circuit = gen_cuccaro(bits)
         assert circuit.num_qubits == 2 * bits + 2
-        assert circuit.two_qubit_count == 16 * bits + 1
+        assert pair_count(circuit) == 16 * bits + 1
 
 
 class TestBenchmarkSpec:

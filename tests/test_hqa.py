@@ -10,6 +10,7 @@ import qcoremap.hqa as hqa
 from qcoremap import (
     Architecture,
     Assignment,
+    AssignmentPath,
     CapacityError,
     Circuit,
     FORBIDDEN,
@@ -19,7 +20,6 @@ from qcoremap import (
     count_communications,
     gen_ghz,
     initial_assignment,
-    is_valid,
     map_circuit,
     minimum_communications,
     timeslice,
@@ -316,7 +316,7 @@ class TestHqaStep:
         result = hqa_step(BLOCK_2X2, sliced, -1, arch, HqaConfig(use_attraction=False))
         assert result.core_of == (1, 0, 0, 1)
         assert count_communications([BLOCK_2X2, result]) == 2
-        assert is_valid(result, sliced.slices[0], arch)
+        validate_path(AssignmentPath(4, 2, 2, (result,)), sliced.slices, arch)
 
     def test_no_unfeasible_ops_returns_prev(self):
         sliced = timeslice(Circuit(4, (cx(0, 1),)))
@@ -330,7 +330,7 @@ class TestHqaStep:
         result = hqa_step(prev, sliced, -1, arch, HqaConfig(use_attraction=False))
         # Rounds: [(0,4),(1,5)] then [(2,6),(3,7)-auxiliary]; home cores win ties.
         assert result.core_of == (0, 1, 0, 1, 0, 1, 0, 1)
-        assert is_valid(result, sliced.slices[0], arch)
+        validate_path(AssignmentPath(8, 2, 4, (result,)), sliced.slices, arch)
 
 
 class TestMapCircuit:
@@ -340,8 +340,7 @@ class TestMapCircuit:
         sliced = timeslice(circuit)
         for attraction in (False, True):
             path = map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
-            for assignment, gates in zip(path.assignments, sliced.slices):
-                assert is_valid(assignment, gates, arch)
+            validate_path(path, sliced.slices, arch)
             comms = count_communications(path)
             assert comms >= minimum_communications(circuit, arch)
             assert comms >= 2
@@ -371,8 +370,7 @@ class TestMapCircuit:
         circuit = Circuit(8, (cx(0, 7), cx(2, 5)))
         sliced = timeslice(circuit)
         path = map_circuit(circuit, arch, HqaConfig(use_attraction=False))
-        for assignment, gates in zip(path.assignments, sliced.slices):
-            assert is_valid(assignment, gates, arch)
+        validate_path(path, sliced.slices, arch)
 
     @given(circuits(max_qubits=8, max_gates=24), st.integers(min_value=2, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -383,13 +381,8 @@ class TestMapCircuit:
         sliced = timeslice(circuit)
         for attraction in (False, True):
             path = map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
-            assert path.num_slices == sliced.num_slices
-            for assignment, gates in zip(path.assignments, sliced.slices):
-                assert is_valid(assignment, gates, arch)
-                assert sorted(assignment.core_of.count(c) for c in range(num_cores)) == sorted(
-                    assignment.loads(num_cores)
-                )
-                assert assignment.num_qubits == circuit.num_qubits
+            assert path.num_qubits == circuit.num_qubits
+            validate_path(path, sliced.slices, arch)
 
     @given(circuits(max_qubits=6, max_gates=14))
     @settings(max_examples=40, deadline=None)
@@ -486,7 +479,7 @@ class TestTotalOnFeasibleInput:
         sliced = timeslice(circuit)
         slots = sum(c // 2 for c in caps)
         feasible = sum(caps) >= circuit.num_qubits and all(
-            sum(1 for g in gates if g.is_two_qubit) <= slots for gates in sliced.slices
+            sum(1 for g in gates if len(g.qubits) == 2) <= slots for gates in sliced.slices
         )
         try:
             path = map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))

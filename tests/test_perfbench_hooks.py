@@ -69,3 +69,17 @@ def test_workload_calls_still_bind(monkeypatch):
     inspect.signature(harness.sweep_cores).bind(
         num_qubits=sweep.QUBITS, core_counts=sweep.CORE_COUNTS, replicas=1, seed=1
     )
+    # sweep-cores wraps these three bindings of the harness.
+    for name in ("run_single", "map_circuit", "fgp_map_circuit"):
+        assert callable(getattr(harness, name))
+    # map-hqa parses, slices and maps, then calls validate_path and
+    # count_communications itself; a ghz and a random input cover both calls.
+    map_hqa = workloads.MapHqa(1)
+    inputs = [i for i in map_hqa.setup() if i.instance.endswith("q120@10")]
+    inputs = [inputs[0], inputs[-1]]
+    assert [i.instance.split(":")[0] for i in inputs] == ["ghz", "random"]
+    map_hqa.prepare(inputs)
+    result = map_hqa.run_pass(inputs)
+    assert len(result.calls) == 2
+    assert result.errors == []
+    assert [c for c in result.calls if c.failed] == []

@@ -208,6 +208,10 @@ def validate_path(path: AssignmentPath, sliced_slices, arch: Architecture) -> No
     This is the one validity check. A row equal to the previous slice's has
     passed the checks that depend on the row alone, so for it only the
     co-location of the new slice's pairs is checked.
+
+    Every gate's qubits must lie within the row, so a path narrower than the
+    qubits its gates touch is rejected. ``sliced_slices`` carries no qubit
+    count, though, so a missing qubit that no gate touches goes unseen.
     """
     if path.num_slices != len(sliced_slices):
         raise MappingValidationError(
@@ -239,8 +243,10 @@ def validate_path(path: AssignmentPath, sliced_slices, arch: Architecture) -> No
             checked = core_of
         try:
             for g in gates:
+                # qubits[-1] is qubits[0] for a one-qubit gate, which is then
+                # only indexed, so that a qubit beyond the row is caught.
                 qubits = g.qubits
-                if len(qubits) == 2 and core_of[qubits[0]] != core_of[qubits[1]]:
+                if core_of[qubits[0]] != core_of[qubits[-1]]:
                     raise MappingValidationError(
                         f"assignment for slice {t} is invalid: it splits the pair {qubits}"
                     )

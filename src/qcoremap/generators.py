@@ -3,6 +3,10 @@
 All families emit only one- and two-qubit gates. Stochastic families
 (quantum_volume, random) are bit-reproducible for a fixed seed via the pinned
 PRNG in :mod:`qcoremap.rng`.
+
+Gates are built unchecked through ``_unchecked_gate``: every family emits
+distinct, non-negative qubit indices by construction, and the checked
+``Circuit(n, gates)`` each generator returns bounds every index by ``n``.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, _unchecked_gate
 from .rng import Xoshiro256StarStar, stream_for
 
 FAMILIES = ("ghz", "cuccaro", "qft", "quantum_volume", "grover", "random")
@@ -21,11 +25,11 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _g1(label: str, q: int, *params: float) -> Gate:
-    return Gate(label, (q,), tuple(params))
+    return _unchecked_gate(label, (q,), params)
 
 
 def _g2(label: str, a: int, b: int, *params: float) -> Gate:
-    return Gate(label, (a, b), tuple(params))
+    return _unchecked_gate(label, (a, b), params)
 
 
 def _ccx(c1: int, c2: int, tgt: int) -> list[Gate]:

@@ -39,6 +39,10 @@ def cx(a, b):
     return Gate("cx", (a, b))
 
 
+def h(q):
+    return Gate("h", (q,))
+
+
 class TestArchitecture:
     def test_uniform_capacities(self):
         arch = Architecture(3, 4)
@@ -144,6 +148,13 @@ class TestValidatePath:
         path = AssignmentPath(3, 2, 2, (Assignment((0, 0, 1)),))
         with pytest.raises(MappingValidationError, match="slice 0"):
             validate_path(path, self.slices(4, cx(2, 3)), Architecture(2, 2))
+
+    def test_one_qubit_gate_beyond_path_rejected(self):
+        # Only a one-qubit gate touches the missing qubit 3; the checker
+        # rejects this path too ("places 3 of 4 qubits").
+        path = AssignmentPath(3, 2, 2, (Assignment((0, 0, 1)),))
+        with pytest.raises(MappingValidationError, match="slice 0"):
+            validate_path(path, self.slices(4, cx(0, 1), h(3)), Architecture(2, 2))
 
     @REUSED
     def test_shared_assignment_checked_on_every_slice(self, again):

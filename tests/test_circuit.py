@@ -1,10 +1,11 @@
+import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given
 
 from qcoremap import Circuit, Gate, gen_ghz, timeslice
-from qcoremap.circuit import pair_arrays
+from qcoremap.circuit import _unchecked_gate, pair_arrays
 
 from conftest import circuits
 
@@ -34,6 +35,46 @@ class TestGateInvariants:
     def test_gate_index_out_of_range(self):
         with pytest.raises(ValueError, match="exceeds"):
             Circuit(2, (cx(0, 2),))
+
+
+SAMPLE_GATES = [("h", (2,), ()), ("cx", (3, 0), ()), ("cp", (0, 1), (0.5,)), ("u3", (1,), (0.1, 0.2, 0.3))]
+
+
+class TestSlottedGate:
+    def test_slots_and_no_instance_dict(self):
+        gate = cx(0, 1)
+        assert Gate.__slots__ == ("label", "qubits", "params")
+        assert not hasattr(gate, "__dict__")
+
+    @pytest.mark.parametrize("label, qubits, params", SAMPLE_GATES)
+    def test_unchecked_equals_checked(self, label, qubits, params):
+        unchecked, checked = _unchecked_gate(label, qubits, params), Gate(label, qubits, params)
+        assert type(unchecked) is Gate
+        assert unchecked == checked
+        assert hash(unchecked) == hash(checked)
+        assert repr(unchecked) == repr(checked)
+
+    @pytest.mark.parametrize("name", ["label", "qubits", "params"])
+    def test_fields_frozen(self, name):
+        for gate in (cx(0, 1), _unchecked_gate("cx", (0, 1), ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gate, name, getattr(gate, name))
+
+    def test_replace_builds_a_checked_gate(self):
+        gate = _unchecked_gate("cp", (0, 1), (0.5,))
+        assert dataclasses.replace(gate, qubits=[2, 3]) == Gate("cp", (2, 3), (0.5,))
+        with pytest.raises(ValueError, match="repeats a qubit"):
+            dataclasses.replace(gate, qubits=(1, 1))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        gates = tuple(_unchecked_gate(*sample) for sample in SAMPLE_GATES)
+        circuit = Circuit(4, gates)
+        sliced = timeslice(circuit)
+        for value in (gates[2], circuit, sliced):
+            restored = pickle.loads(pickle.dumps(value, protocol))
+            assert restored == value
+        assert pickle.loads(pickle.dumps(gates[2], protocol)).params == (0.5,)
 
 
 class TestTimeslice:

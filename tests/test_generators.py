@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoremap import (
     BenchmarkSpec,
+    Circuit,
+    Gate,
     gen_cuccaro,
     gen_ghz,
     gen_grover,
@@ -11,6 +15,7 @@ from qcoremap import (
     timeslice,
 )
 from qcoremap.circuit import pair_arrays
+from qcoremap.generators import STOCHASTIC_FAMILIES
 
 # Hand-enumerated once from the construction: a 1-bit adder is
 # MAJ (2 cx + 6-cx Toffoli), the carry-out cx, UMA (6-cx Toffoli + 2 cx).
@@ -150,6 +155,31 @@ def test_cuccaro_formula_across_sweep():
         circuit = gen_cuccaro(bits)
         assert circuit.num_qubits == 2 * bits + 2
         assert pair_count(circuit) == 16 * bits + 1
+
+
+# Each family at its smallest legal size, at an odd size where it allows
+# one (cuccaro's qubit count is even), and at 120 qubits.
+GENERATOR_SIZES = [
+    ("ghz", 2), ("ghz", 5), ("ghz", 120),
+    ("qft", 1), ("qft", 5), ("qft", 120),
+    ("cuccaro", 4), ("cuccaro", 120),
+    ("quantum_volume", 2), ("quantum_volume", 5), ("quantum_volume", 120),
+    ("grover", 2), ("grover", 5), ("grover", 120),
+    ("random", 2), ("random", 5), ("random", 120),
+]
+
+
+@pytest.mark.parametrize("family, n", GENERATOR_SIZES)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_generated_gates_pass_the_gate_checks(family, n, data):
+    # The generators build their gates unchecked; rebuilding each one through
+    # the checked Gate must give an equal circuit.
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed") if family in STOCHASTIC_FAMILIES else None
+    circuit = BenchmarkSpec(family, n, seed=seed).build()
+    checked = Circuit(circuit.num_qubits, tuple(Gate(g.label, g.qubits, g.params) for g in circuit.gates))
+    assert checked == circuit
+    assert circuit.num_qubits == n
 
 
 class TestBenchmarkSpec:

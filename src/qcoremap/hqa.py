@@ -10,6 +10,13 @@ core and 2 otherwise; cores without two free slots are forbidden targets.
 Optionally, costs are reduced by the attraction each operation feels toward
 a core's remaining residents, weighted by how soon they interact.
 
+Each transition's placement problem is built once, after parity repair: a
+base row per operation, its look-ahead row, and a qubit-by-core membership
+matrix of the residents that every placement keeps current. The operations
+are then placed in gate order, in rounds of as many as cores have two free
+slots; a round's pull is one product of its look-ahead rows with the
+membership, and ``hungarian.solve`` gets the round's costs as nested lists.
+
 Odd or unequal capacities can leave operations pending while every core has
 at most one free slot. The step then evicts a qubit that no pair of the slice
 uses from a core with one free slot into another such core (one relocation),
@@ -110,26 +117,13 @@ def parity_fix(
     return out
 
 
-def _base_cost_matrix(ops: Sequence[UnfeasibleOp], prev: Assignment, free: np.ndarray):
-    num_cores = len(free)
-    cost = np.full((len(ops), num_cores), 2.0)
-    core_of = prev.core_of
-    for i, op in enumerate(ops):
-        cost[i, core_of[op.qa]] = 1.0
-        cost[i, core_of[op.qb]] = 1.0
-    cost[:, free < 2] = FORBIDDEN
-    return cost
-
-
-def _attraction_matrix(
-    ops: Sequence[UnfeasibleOp], residency: np.ndarray, weights: np.ndarray, num_cores: int
-):
-    onehot = np.zeros((len(residency), num_cores))
-    resident = np.flatnonzero(residency >= 0)
-    onehot[resident, residency[resident]] = 1.0
-    qa = [op.qa for op in ops]
-    qb = [op.qb for op in ops]
-    return (weights.take(qa, axis=0) + weights.take(qb, axis=0)) @ onehot / 2.0
+def _membership(residency: Sequence[int], num_cores: int) -> np.ndarray:
+    """Qubit-by-core 0/1 matrix of the residents; lifted qubits have no 1."""
+    member = np.zeros((len(residency), num_cores))
+    for q, core in enumerate(residency):
+        if core >= 0:
+            member[q, core] = 1.0
+    return member
 
 
 def hqa_step(
@@ -141,12 +135,22 @@ def hqa_step(
 ) -> Assignment:
     """Repair the transition from slice t to slice t+1; t = -1 repairs slice 0.
 
-    Look-ahead weights for attraction are anchored at slice t, matching the
-    decay seen by the transition being repaired. Placement base costs always
-    read the incoming assignment: lifted qubits still physically sit in their
-    old core until the transition happens. When operations are pending and
-    no core has two free slots, an idle qubit is evicted to open one
-    (``_evict_idle``), or else ``place_pairs`` places the slice afresh.
+    The transition's problem is built once: each operation's base row (1 at
+    an endpoint's home core, 2 elsewhere), read from the incoming assignment
+    because lifted qubits still sit in their old core until the transition
+    happens, and with attraction its look-ahead row ``(W[qa] + W[qb]) / 2``,
+    anchored at slice t to match the decay the repaired transition sees.
+    A qubit-by-core membership matrix of the residents is kept current by
+    each placement and rebuilt after an eviction, so a round's pull is one
+    product of its rows with it. Each endpoint has at most one pair per
+    slice, so a pull sums at most two ``2**-d`` terms per slice ahead,
+    d <= 32: a multiple of ``2**-33`` below 1, exact in any grouping.
+
+    Each round places the next operations in gate order, as many as cores
+    have two free slots, by one ``solve`` on nested lists. When operations
+    are pending and no core has two free slots, an idle qubit is evicted to
+    open one (``_evict_idle``), or else ``place_pairs`` places the slice
+    afresh.
     """
     pa, pb, offsets = pair_arrays(sliced)
     lo, hi = offsets[t + 1], offsets[t + 2]
@@ -157,41 +161,57 @@ def hqa_step(
     one_qubit = {g.qubits[0] for g in sliced.slices[t + 1] if len(g.qubits) == 1}
     ops = parity_fix(ops, prev, a, b, one_qubit, arch.num_cores)
 
-    residency = np.asarray(prev.core_of, dtype=np.int64)
+    num_cores = arch.num_cores
+    core_of = prev.core_of
+    residency = list(core_of)
+    base = []
     for op in ops:
-        residency[op.qa] = LIFTED
-        residency[op.qb] = LIFTED
-    caps = np.asarray(arch.capacities, dtype=np.int64)
-    free = caps - np.bincount(residency[residency >= 0], minlength=arch.num_cores)
+        residency[op.qa] = residency[op.qb] = LIFTED
+        row = [2.0] * num_cores
+        row[core_of[op.qa]] = row[core_of[op.qb]] = 1.0
+        base.append(row)
+    free = list(arch.capacities)
+    for core in residency:
+        if core >= 0:
+            free[core] -= 1
 
-    weights = None
+    look = member = None
     if config.use_attraction:
         weights = window_matrix(sliced.num_qubits, pa, pb, offsets, t, DEFAULT_HORIZON)
+        qa = [op.qa for op in ops]
+        qb = [op.qb for op in ops]
+        look = (weights[qa] + weights[qb]) / 2.0
+        member = _membership(residency, num_cores)
 
-    remaining = list(ops)
-    while remaining:
-        available = int((free >= 2).sum())
+    start = 0
+    while start < len(ops):
+        available = sum(1 for room in free if room >= 2)
         if available == 0:
-            if not _evict_idle(remaining[0], prev, {*a, *b}, residency, free):
-                return Assignment(tuple(place_pairs(prev.core_of, pa[lo:hi], pb[lo:hi], arch)))
+            if not _evict_idle(ops[start], prev, {*a, *b}, residency, free):
+                return Assignment(tuple(place_pairs(core_of, pa[lo:hi], pb[lo:hi], arch)))
+            if member is not None:
+                member = _membership(residency, num_cores)
             available = 1
-        batch = remaining[: min(len(remaining), available)]
-        cost = _base_cost_matrix(batch, prev, free)
-        if weights is not None:
-            finite = np.isfinite(cost)
-            pull = _attraction_matrix(batch, residency, weights, arch.num_cores)
-            cost[finite] -= pull[finite]
-        solution = solve(cost)
-        for op, core in zip(batch, solution.col_of_row):
-            residency[op.qa] = core
-            residency[op.qb] = core
+        end = min(len(ops), start + available)
+        if look is None:
+            pull = [[0.0] * num_cores] * (end - start)
+        else:
+            pull = (look[start:end] @ member).tolist()
+        cost = [
+            [FORBIDDEN if room < 2 else cell - p for cell, p, room in zip(row, pulled, free)]
+            for row, pulled in zip(base[start:end], pull)
+        ]
+        for op, core in zip(ops[start:end], solve(cost).col_of_row):
+            residency[op.qa] = residency[op.qb] = core
             free[core] -= 2
-        remaining = remaining[len(batch):]
-    return Assignment(tuple(residency.tolist()))
+            if member is not None:
+                member[op.qa, core] = member[op.qb, core] = 1.0
+        start = end
+    return Assignment(tuple(residency))
 
 
 def _evict_idle(
-    op: UnfeasibleOp, prev: Assignment, paired: set[int], residency: np.ndarray, free: np.ndarray
+    op: UnfeasibleOp, prev: Assignment, paired: set[int], residency: list[int], free: list[int]
 ) -> bool:
     """Move one resident that is not ``paired`` in the slice from a core with
     one free slot into another such core, so the first can take a pair.
@@ -199,16 +219,16 @@ def _evict_idle(
     The source is an endpoint's home core of ``op`` when one qualifies, since
     ``op`` then costs 1 there instead of 2, else the lowest qualifying core;
     the evicted qubit is the lowest such resident, and the target the lowest
-    other core with one free slot, homes of ``op`` last. Returns False when
-    no such move exists.
+    other core with one free slot, homes of ``op`` last. Updates ``residency``
+    and ``free`` in place; returns False when no such move exists.
     """
-    open_cores = [int(c) for c in np.flatnonzero(free == 1)]
+    open_cores = [c for c, room in enumerate(free) if room == 1]
     if len(open_cores) < 2:
         return False
     homes = {prev.core_of[op.qa], prev.core_of[op.qb]}
     for source in sorted(open_cores, key=lambda c: (c not in homes, c)):
         idle = next(
-            (q for q in np.flatnonzero(residency == source).tolist() if q not in paired), None
+            (q for q, core in enumerate(residency) if core == source and q not in paired), None
         )
         if idle is None:
             continue

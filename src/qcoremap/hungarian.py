@@ -1,23 +1,25 @@
 """Exact rectangular minimum-cost assignment (Kuhn-Munkres family).
 
-Cost matrices are float64 arrays; entries of +inf (FORBIDDEN) can never be
-selected and are handled natively rather than through a large finite constant,
-so dual potentials stay clean. Rows must not outnumber columns. A rectangular
-r x k input is solved by augmenting its r rows only; the k - r columns no
-augmentation reaches stay unmatched with zero duals, so the zero-cost
-padding rows of the square problem are optimal on them without being
-augmented.
+A cost matrix is a list of equal-length rows of numbers, or a 2-D array,
+which is converted once with ``tolist``; both take the same path. Entries of
++inf (FORBIDDEN) can never be selected and are handled natively rather than
+through a large finite constant, so dual potentials stay clean. NaN and -inf
+are rejected, and rows must not outnumber columns. A rectangular r x k input
+is solved by augmenting its r rows only; the k - r columns no augmentation
+reaches stay unmatched with zero duals, so the zero-cost padding rows of the
+square problem are optimal on them without being augmented.
 
 Determinism contract: among all minimum-cost matchings, the one whose column
 sequence (col_of_row) is lexicographically smallest is returned. This is
 achieved by extracting the matching greedily over the tight subgraph of the
 optimal dual potentials, checking completability with augmenting paths.
 
-The kernels run on nested lists of Python floats, converted once per call.
-The matrices are small (at most one row and column per core) and the kernels
-are scalar loops, where indexing a list costs a fraction of indexing a numpy
-array. IEEE double arithmetic is the same in both, so the duals and the
-matching do not depend on the representation.
+The checks and the kernels are scalar loops over nested lists of Python
+numbers. The matrices are small (at most one row and column per core): on
+them, indexing a list costs a fraction of indexing a numpy array, and
+building an array would cost more than the checks. IEEE double arithmetic
+is the same in both, so the duals and the matching do not depend on the
+representation.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FORBIDDEN = float("inf")
+_NEG_INF = float("-inf")
 TOL = 1e-9  # absolute tolerance for real-valued cost comparisons
 
 
@@ -183,38 +186,51 @@ def _lex_canonical(cost, u, v, col_of_row, r, tol):
     return col_of_row
 
 
-def _validated(costs) -> np.ndarray:
-    m = np.ascontiguousarray(costs, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {m.shape}")
-    if np.isnan(m).any() or np.isneginf(m).any():
-        raise ValueError("cost matrix entries must be finite or +inf")
-    return m
+def _validated(costs) -> list:
+    """The matrix as a list of r rows of k numbers, r <= k, none NaN or -inf."""
+    rows = costs.tolist() if isinstance(costs, np.ndarray) else costs
+    try:
+        r, k = len(rows), len(rows[0])
+        for row in rows:
+            if len(row) != k:
+                raise ValueError(f"cost matrix rows must all have {k} entries, got {len(row)}")
+            for x in row:
+                if not x > _NEG_INF:
+                    raise ValueError("cost matrix entries must be finite or +inf")
+    except (TypeError, IndexError):
+        raise ValueError("cost matrix must be 2-D and non-empty, with numeric entries") from None
+    if k < 1:
+        raise ValueError("cost matrix must be 2-D and non-empty")
+    if r > k:
+        raise ValueError(f"rows must not outnumber columns, got {r}x{k}")
+    return rows
 
 
 def solve(costs) -> AssignmentSolution:
     """Minimum-cost injective row -> column matching.
 
-    Requires rows <= columns and at least one full matching that avoids
-    forbidden (+inf) entries; otherwise InfeasibleMatrixError.
+    ``costs`` is a 2-D array or a list of equal-length rows of numbers; an
+    array is converted once with ``tolist``. Requires rows <= columns and at
+    least one full matching that avoids forbidden (+inf) entries; otherwise
+    InfeasibleMatrixError.
     """
-    m = _validated(costs)
-    r, k = m.shape
-    if r > k:
-        raise ValueError(f"rows must not outnumber columns, got {r}x{k}")
-    rows = m.tolist()
+    rows = _validated(costs)
+    r, k = len(rows), len(rows[0])
     status, col_of_row, u, v = _jv_rectangular(rows, k)
     if status != 0:
         raise InfeasibleMatrixError(
             "no full matching avoids the forbidden entries"
         )
+    square = rows
     if r < k:
         # Zero-cost padding rows with u = 0 take the unmatched columns in
         # ascending order; canonicalization runs on the padded square.
         matched = set(col_of_row)
         col_of_row += [j for j in range(k) if j not in matched]
         u += [0.0] * (k - r)
-        rows += [[0.0] * k] * (k - r)  # padding rows are never written
-    cols = tuple(_lex_canonical(rows, u, v, col_of_row, r, TOL)[:r])
-    total = float(sum(m[i, c] for i, c in enumerate(cols)))
+        square = list(rows) + [[0.0] * k] * (k - r)  # padding rows are never written
+    cols = tuple(_lex_canonical(square, u, v, col_of_row, r, TOL)[:r])
+    total = 0.0
+    for row, c in zip(rows, cols):
+        total += row[c]
     return AssignmentSolution(cols, total)

@@ -15,9 +15,12 @@ DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 ENV = {"python": "3", "numpy": "2", "numba_enabled": False, "nproc": 2, "cpu": "x"}
 
 
-def write_run(out: Path, seed: int, wall_s: float, digest: str, source: str, trace: int = 0):
+def write_run(out: Path, seed: int, wall_s: float, digest: str, source: str, trace: int = 0,
+              values: dict | None = None):
     names = DECLARED["per_layer" if trace else "end_to_end"]
     metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in names}
+    for name, value in (values or {}).items():
+        metrics[name]["value"] = value
     if not trace:
         metrics["wall_s"]["value"] = wall_s
     details = {"digest": digest, "passes": 2, "pass_raw_wall_s": [wall_s, 2 * wall_s, 3 * wall_s]}
@@ -61,3 +64,24 @@ def test_pairs_are_compared_seed_by_seed(tmp_path):
     assert raw["change"]["median"] == pytest.approx(10.6)
     assert raw["pairs_change_lower"] == 2
     assert summary["failed_of_attempted_per_pass"]["change"] == [[0.5, 2.0]] * 4
+
+
+def test_traced_counts_that_differ_are_listed(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (0, 1):
+        write_run(parent, seed, 1.0, "d", "p")
+        write_run(change, seed, 1.0, "d", "c")
+    # Seed 0: two counts and a time differ; seed 1: only a time differs.
+    write_run(parent, 0, 0.0, "d", "p", trace=1)
+    write_run(change, 0, 0.0, "d", "c", trace=1, values={
+        "hungarian.solve_calls": 2.0, "hqa.steps": 3.0, "hungarian.solve_s": 0.5,
+        "hqa.rounds_per_step": 2.0,
+    })
+    write_run(parent, 1, 0.0, "d", "p", trace=1)
+    write_run(change, 1, 0.0, "d", "c", trace=1, values={"hqa.step_self_s": 0.5})
+    out = tmp_path / "bench.json"
+
+    assert bench_record.main([str(parent), str(change), "--out", str(out)]) == 0
+    traced = json.loads(out.read_text())["workloads"]["tiny-exact"]["traced"]
+    assert traced["0"]["counts_changed"] == ["hqa.steps", "hungarian.solve_calls"]
+    assert traced["1"]["counts_changed"] == []

@@ -268,45 +268,77 @@ class TestAttractionQubit:
 
 
 class TestCostMatrixConsistency:
-    def test_vectorized_matrix_equals_scalar_contracts(self):
-        # The batched cost construction must agree entry-for-entry with the
-        # scalar cost functions it implements.
-        import numpy as np
-
+    def test_vectorized_matrix_equals_scalar_contracts(self, monkeypatch):
+        # Every matrix hqa_step hands to solve, in later rounds and after an
+        # eviction too, agrees entry for entry with the scalar cost functions
+        # under that round's residency and free slots.
         from qcoremap import gen_random
-        from qcoremap.hqa import _attraction_matrix, _base_cost_matrix
-        from qcoremap.circuit import pair_arrays
-        from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
-        circuit = gen_random(8, cycles=6, p=0.5, seed=21)
-        sliced = timeslice(circuit)
-        arch = Architecture(2, 4)
-        prev = initial_assignment(8, arch)
-        for t in range(-1, 3):
-            gates = sliced.slices[t + 1]
-            ops = unfeasible(prev, gates)
-            if not ops:
-                continue
-            ops = fix(ops, prev, gates, arch.num_cores)
-            residency = np.asarray(prev.core_of, dtype=np.int64)
-            for op in ops:
-                residency[op.qa] = residency[op.qb] = -1
-            free = np.asarray(arch.capacities) - np.bincount(
-                residency[residency >= 0], minlength=arch.num_cores
-            )
-            weights = window_matrix(8, *pair_arrays(sliced), t, DEFAULT_HORIZON)
-            base = _base_cost_matrix(ops, prev, free)
-            pull = _attraction_matrix(ops, residency, weights, arch.num_cores)
-            for i, op in enumerate(ops):
-                for core in range(arch.num_cores):
-                    assert base[i, core] == cost_basic(op, core, prev, free)
-                    expected = cost_attraction(
-                        op, core, prev, free, residency, sliced, t
-                    )
-                    combined = base[i, core]
-                    if np.isfinite(combined):
-                        combined -= pull[i, core]
-                    assert combined == expected
+        events = []
+        step, solve, evict = hqa.hqa_step, hqa.solve, hqa._evict_idle
+
+        def logged_step(prev, sliced, t, arch, config):
+            events.append(("step", prev, t))
+            return step(prev, sliced, t, arch, config)
+
+        def logged_solve(cost):
+            solution = solve(cost)
+            events.append(("solve", cost, solution.col_of_row))
+            return solution
+
+        def logged_evict(op, prev, paired, residency, free):
+            moved = evict(op, prev, paired, residency, free)
+            events.append(("evict", list(residency), moved))
+            return moved
+
+        monkeypatch.setattr(hqa, "hqa_step", logged_step)
+        monkeypatch.setattr(hqa, "solve", logged_solve)
+        monkeypatch.setattr(hqa, "_evict_idle", logged_evict)
+        instances = [
+            (gen_random(8, cycles=6, p=0.5, seed=21), Architecture(2, 4)),
+            (gen_random(12, cycles=8, p=0.8, seed=3), Architecture(2, 6)),
+        ]
+        instances += tiny_instances()[:150]
+        later_rounds = after_eviction = 0
+        for circuit, arch in instances:
+            sliced = timeslice(circuit)
+            for attraction in (False, True):
+                events.clear()
+                try:
+                    map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
+                except (CapacityError, MappingInfeasibleError):
+                    continue
+                for kind, *data in events:
+                    if kind == "step":
+                        prev, t = data
+                        gates = sliced.slices[t + 1]
+                        ops = unfeasible(prev, gates)
+                        ops = fix(ops, prev, gates, arch.num_cores) if ops else ops
+                        residency = list(prev.core_of)
+                        for op in ops:
+                            residency[op.qa] = residency[op.qb] = -1
+                        rounds, evicted = 0, False
+                    elif kind == "evict":
+                        if data[1]:
+                            residency, evicted = data[0], True
+                    else:
+                        cost, cols = data
+                        free = [cap - residency.count(c) for c, cap in enumerate(arch.capacities)]
+                        batch, ops = ops[: len(cost)], ops[len(cost):]
+                        for i, op in enumerate(batch):
+                            for core in range(arch.num_cores):
+                                expected = (
+                                    cost_attraction(op, core, prev, free, residency, sliced, t)
+                                    if attraction
+                                    else cost_basic(op, core, prev, free)
+                                )
+                                assert cost[i][core] == expected
+                        later_rounds += rounds > 0
+                        after_eviction += evicted
+                        rounds, evicted = rounds + 1, False
+                        for op, core in zip(batch, cols):
+                            residency[op.qa] = residency[op.qb] = core
+        assert later_rounds and after_eviction
 
 
 class TestHqaStep:
@@ -521,3 +553,32 @@ class TestPinnedTinyPaths:
                 lines.append(repr([a.core_of for a in path.assignments]))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
         assert True in evictions and fallbacks
+
+
+class TestPinnedScalePaths:
+    """hqa's ``map`` paths for every family at 48 qubits on 2x24 and 6x8,
+    attraction off and on: multi-round batches on two cores and the full
+    32-slice look-ahead window, which the tiny instances never reach."""
+
+    # sha256 over the path files ``map --out`` writes, in family, then
+    # architecture, then attraction order; stochastic families use seed 1.
+    DIGEST = "b8dd8ab67e3d87cb1b814e873dc6fc621bd588927b5f027e6954709f1c82b7fa"
+
+    def test_map_paths_match_pinned_digest(self, tmp_path, capsys):
+        from qcoremap.cli import main
+        from qcoremap.generators import FAMILIES
+
+        paths = []
+        for family in FAMILIES:
+            qasm = tmp_path / f"{family}.qasm"
+            main(["generate", "--family", family, "--qubits", "48", "--seed", "1",
+                  "--out", str(qasm)])
+            for cores, capacity in ((2, 24), (6, 8)):
+                for attraction in ("off", "on"):
+                    out = tmp_path / "path.json"
+                    code = main(["map", str(qasm), "--cores", str(cores),
+                                 "--capacity", str(capacity), "--attraction", attraction,
+                                 "--out", str(out)])
+                    assert code == 0
+                    paths.append(out.read_text())
+        assert hashlib.sha256("".join(paths).encode()).hexdigest() == self.DIGEST

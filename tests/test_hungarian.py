@@ -233,3 +233,53 @@ class TestProperties:
         sol = solve(m)
         assert sol.col_of_row == want
         assert sol.total_cost == float(sum(m[i, c] for i, c in enumerate(want)))
+
+
+class TestNestedLists:
+    """solve takes nested lists of numbers on the same path as arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rectangular_matrices())
+    def test_list_equals_array(self, m):
+        rows = m.tolist()
+        try:
+            want = solve(m)
+        except InfeasibleMatrixError:
+            with pytest.raises(InfeasibleMatrixError):
+                solve(rows)
+            return
+        got = solve(rows)
+        assert got.col_of_row == want.col_of_row
+        assert got.total_cost == want.total_cost
+        assert rows == m.tolist()  # the caller's rows are left as they were
+
+    def test_integer_rows(self):
+        sol = solve([[2, 1, 2], [1, 2, 2]])
+        assert sol.col_of_row == (1, 0)
+        assert sol.total_cost == 2.0 and isinstance(sol.total_cost, float)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[float("nan"), 1.0], [1.0, 1.0]],
+            [[-INF, 1.0], [1.0, 1.0]],
+            [[1.0, 2.0], [1.0]],
+            [[1.0], [2.0, 3.0]],
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [],
+            [[]],
+            [1.0, 2.0],
+            [[[1.0]]],
+            [["a", 1.0]],
+        ],
+        ids=["nan", "neg-inf", "ragged-short", "ragged-long", "rows-over-columns",
+             "empty", "empty-row", "one-dimensional", "three-dimensional", "non-numeric"],
+    )
+    def test_bad_lists_rejected(self, rows):
+        with pytest.raises(ValueError) as info:
+            solve(rows)
+        assert info.type is ValueError  # rejected before solving, not found infeasible
+
+    def test_neg_inf_array_rejected(self):
+        with pytest.raises(ValueError):
+            solve(np.array([[-INF, 1.0], [1.0, 1.0]]))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qcoremap import INFINITE, fgp, harness
+from qcoremap import INFINITE, Architecture, fgp, gen_random, harness, hqa, map_circuit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,6 +46,25 @@ def test_every_hook_resolves_and_is_removed():
     assert fgp.roee_refine is original
     # The fgp.refine measure reads the initial partition as the second argument.
     assert [span[5] for span in tracer.spans if span[0] == "fgp.refine"] == [1, 0]
+
+
+def test_solve_spans_measure_hqa_matrices(monkeypatch):
+    # hungarian.solve_s, solve_calls and cells_mean come from the spans of
+    # qcoremap.hqa.solve; each span's cells must be the r x k of the nested
+    # list hqa hands it, or those metrics read 0 with no error.
+    matrices = []
+    solve = hqa.solve
+    monkeypatch.setattr(hqa, "solve", lambda cost: matrices.append(cost) or solve(cost))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        map_circuit(gen_random(24, cycles=8, p=0.5, seed=3), Architecture(4, 6))
+    finally:
+        tracer.remove()
+    cells = [span[5] for span in tracer.spans if span[0] == "hungarian.solve"]
+    assert cells
+    assert all(isinstance(m, list) and isinstance(m[0], list) for m in matrices)
+    assert cells == [len(m) * len(m[0]) for m in matrices]
 
 
 def test_environment_record_builds():

@@ -15,7 +15,8 @@ tenths of the pairs and its median beats the parent's by more than the
 parent's quartile spread); each run's unscaled pass time and its failed and
 attempted calls per pass; whether every run was correct and the digests
 match seed by seed; the traced per-layer metrics of seeds traced on both
-sides; and the environment the runs report.
+sides, with the names of the count metrics whose two values differ; and the
+environment the runs report.
 """
 
 from __future__ import annotations
@@ -111,15 +112,19 @@ def summarise_workload(name: str, parent: dict, change: dict, declared: dict) ->
     traced = {}
     for s in traced_seeds:
         p, c = parent[(name, s, 1)], change[(name, s, 1)]
+        metrics = {
+            m["name"]: {
+                "unit": m["unit"],
+                "parent": p["result"]["metrics"][m["name"]]["value"],
+                "change": c["result"]["metrics"][m["name"]]["value"],
+            }
+            for m in declared["per_layer"]
+        }
         traced[str(s)] = {
-            "metrics": {
-                m["name"]: {
-                    "unit": m["unit"],
-                    "parent": p["result"]["metrics"][m["name"]]["value"],
-                    "change": c["result"]["metrics"][m["name"]]["value"],
-                }
-                for m in declared["per_layer"]
-            },
+            "metrics": metrics,
+            "counts_changed": sorted(
+                k for k, m in metrics.items() if m["unit"] == "count" and m["parent"] != m["change"]
+            ),
             "missing_layers": {"parent": p["details"]["missing_layers"], "change": c["details"]["missing_layers"]},
             "digests_match": p["details"]["digest"] == c["details"]["digest"],
             "correct": {"parent": p["result"]["correct"], "change": c["result"]["correct"]},

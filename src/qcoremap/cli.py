@@ -10,21 +10,11 @@ import json
 import sys
 from pathlib import Path
 
-from .assignment import (
-    Architecture,
-    MappingInfeasibleError,
-    MappingValidationError,
-    count_communications,
-    validate_path,
-)
-from .circuit import pair_arrays, timeslice
-from .fgp import fgp_map_circuit
+from . import harness
+from .assignment import Architecture, MappingInfeasibleError, MappingValidationError
+from .circuit import timeslice
 from .generators import FAMILIES, BenchmarkSpec
 from .harness import (
-    DEFAULT_ATTRACTION_QUBITS,
-    DEFAULT_BENCHMARKS,
-    DEFAULT_CORE_SWEEP,
-    DEFAULT_QUBIT_SWEEP,
     MAPPER_FGP,
     MAPPER_HQA,
     UsageError,
@@ -32,15 +22,13 @@ from .harness import (
     ratios_to_json,
     records_to_csv,
     records_to_json,
-    sweep_attraction,
-    sweep_cores,
-    sweep_qubits,
 )
-from .hqa import HqaConfig, map_circuit
 from .oracle import OracleInfeasibleError, minimum_communications
 from .qasm import QasmError, parse_qasm, serialize_qasm
 
 _MAPPER_FLAGS = {"hqa": MAPPER_HQA, "fgp-roee": MAPPER_FGP}
+_SWEEP_MAPPERS = {"hqa": (MAPPER_HQA,), "fgp-roee": (MAPPER_FGP,), "both": (MAPPER_FGP, MAPPER_HQA)}
+_ATTRACTION_MODES = {"on": (True,), "off": (False,), "both": (True, False)}
 
 
 def _int_list(text: str) -> list[int]:
@@ -54,19 +42,37 @@ def _name_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser, with_mapper: bool = True):
-    parser.add_argument("--benchmarks", type=_name_list, default=None,
+# Each sweep command's help and its own flags: (flag, type, harness keyword).
+_SWEEP_COMMANDS = {
+    "sweep-cores": ("fixed qubit count, varying core count",
+                    [("--qubits", int, "num_qubits"), ("--cores", _int_list, "core_counts")]),
+    "sweep-qubits": ("fixed core count, varying qubit count",
+                     [("--cores", int, "num_cores"), ("--qubits", _int_list, "qubit_counts")]),
+    "sweep-attraction": ("attraction on vs off for the hqa mapper",
+                         [("--capacity", int, "capacity"), ("--qubits", _int_list, "qubit_counts")]),
+}
+
+
+def _add_sweep_parser(sub, name: str):
+    """A sweep command's parser. Its flags store under the harness function's
+    keywords, and a flag left out is not passed, so the harness default applies."""
+    description, flags = _SWEEP_COMMANDS[name]
+    parser = sub.add_parser(name, help=description, argument_default=argparse.SUPPRESS)
+    for flag, parse, keyword in flags:
+        parser.add_argument(flag, type=parse, dest=keyword, metavar=flag[2:].upper())
+    parser.add_argument("--benchmarks", type=_name_list,
                         help="comma list of families; random takes a density as random:0.5")
-    if with_mapper:
-        parser.add_argument("--mapper", choices=["hqa", "fgp-roee", "both"], default="both")
-        parser.add_argument("--attraction", choices=["on", "off", "both"], default="on")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--replicas", type=int, default=5,
+    if name != "sweep-attraction":
+        parser.add_argument("--mapper", dest="mappers", choices=list(_SWEEP_MAPPERS))
+        parser.add_argument("--attraction", dest="attraction_modes",
+                            choices=list(_ATTRACTION_MODES))
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--replicas", type=int,
                         help="seeds per stochastic benchmark configuration")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", type=Path, default=None,
                         help="records file; ratios go to <out>.ratios.<ext>")
-    parser.add_argument("--no-timing", action="store_true",
+    parser.add_argument("--no-timing", action="store_true", default=False,
                         help="suppress wall_time_ms for byte-stable output")
 
 
@@ -97,20 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--out", type=Path, default=None,
                     help="path JSON file (default stdout, metrics then on stderr)")
 
-    sc = sub.add_parser("sweep-cores", help="fixed qubit count, varying core count")
-    sc.add_argument("--qubits", type=int, default=120)
-    sc.add_argument("--cores", type=_int_list, default=list(DEFAULT_CORE_SWEEP))
-    _add_sweep_flags(sc)
-
-    sq = sub.add_parser("sweep-qubits", help="fixed core count, varying qubit count")
-    sq.add_argument("--cores", type=int, default=10)
-    sq.add_argument("--qubits", type=_int_list, default=list(DEFAULT_QUBIT_SWEEP))
-    _add_sweep_flags(sq)
-
-    sa = sub.add_parser("sweep-attraction", help="attraction on vs off for the hqa mapper")
-    sa.add_argument("--capacity", type=int, default=16)
-    sa.add_argument("--qubits", type=_int_list, default=list(DEFAULT_ATTRACTION_QUBITS))
-    _add_sweep_flags(sa, with_mapper=False)
+    for name in _SWEEP_COMMANDS:
+        _add_sweep_parser(sub, name)
 
     orc = sub.add_parser("oracle", help="exact optimum communications for tiny instances")
     orc.add_argument("qasm", type=Path, help="input file, or - for stdin")
@@ -155,22 +149,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_map(args) -> int:
     circuit = parse_qasm(_read_qasm(args.qasm))
-    arch = Architecture(args.cores, args.capacity)
-    sliced = timeslice(circuit)
-    if _MAPPER_FLAGS[args.mapper] == MAPPER_HQA:
-        path = map_circuit(circuit, arch, HqaConfig(use_attraction=args.attraction == "on"))
-    else:
-        path = fgp_map_circuit(circuit, arch)
-    validate_path(path, sliced.slices, arch)
+    mapper = _MAPPER_FLAGS[args.mapper]
+    path, _elapsed_ms, counts = harness._run_mapper(
+        circuit, Architecture(args.cores, args.capacity), mapper, args.attraction == "on"
+    )
     metrics = json.dumps(
-        {
-            "num_qubits": circuit.num_qubits,
-            "num_slices": sliced.num_slices,
-            "num_2q_gates": len(pair_arrays(sliced)[0]),
-            "mapper": _MAPPER_FLAGS[args.mapper],
-            "communications": count_communications(path),
-        },
-        sort_keys=True,
+        {"num_qubits": circuit.num_qubits, "mapper": mapper, **counts}, sort_keys=True
     )
     if args.out is None:
         sys.stdout.write(path.to_json() + "\n")
@@ -179,16 +163,6 @@ def _cmd_map(args) -> int:
         args.out.write_text(path.to_json() + "\n")
         sys.stdout.write(metrics + "\n")
     return 0
-
-
-def _selected_mappers(flag: str) -> tuple[str, ...]:
-    if flag == "both":
-        return (MAPPER_FGP, MAPPER_HQA)
-    return (_MAPPER_FLAGS[flag],)
-
-
-def _attraction_modes(flag: str) -> tuple[bool, ...]:
-    return {"on": (True,), "off": (False,), "both": (True, False)}[flag]
 
 
 def _write_sweep(records, ratios, args) -> int:
@@ -209,40 +183,17 @@ def _write_sweep(records, ratios, args) -> int:
     return 0
 
 
-def _cmd_sweep_cores(args) -> int:
-    records, ratios = sweep_cores(
-        benchmarks=args.benchmarks or DEFAULT_BENCHMARKS,
-        num_qubits=args.qubits,
-        core_counts=args.cores,
-        mappers=_selected_mappers(args.mapper),
-        attraction_modes=_attraction_modes(args.attraction),
-        seed=args.seed,
-        replicas=args.replicas,
-    )
-    return _write_sweep(records, ratios, args)
-
-
-def _cmd_sweep_qubits(args) -> int:
-    records, ratios = sweep_qubits(
-        benchmarks=args.benchmarks or DEFAULT_BENCHMARKS,
-        num_cores=args.cores,
-        qubit_counts=args.qubits,
-        mappers=_selected_mappers(args.mapper),
-        attraction_modes=_attraction_modes(args.attraction),
-        seed=args.seed,
-        replicas=args.replicas,
-    )
-    return _write_sweep(records, ratios, args)
-
-
-def _cmd_sweep_attraction(args) -> int:
-    records, ratios = sweep_attraction(
-        benchmarks=args.benchmarks or ("cuccaro", "random:0.5"),
-        capacity=args.capacity,
-        qubit_counts=args.qubits,
-        seed=args.seed,
-        replicas=args.replicas,
-    )
+def _cmd_sweep(args) -> int:
+    """Call the harness function named after the command with the sweep flags given."""
+    options = dict(vars(args))
+    for name in ("command", "format", "out", "no_timing"):
+        del options[name]
+    if "mappers" in options:
+        options["mappers"] = _SWEEP_MAPPERS[options["mappers"]]
+    if "attraction_modes" in options:
+        options["attraction_modes"] = _ATTRACTION_MODES[options["attraction_modes"]]
+    sweep = getattr(harness, args.command.replace("-", "_"))
+    records, ratios = sweep(**options)
     return _write_sweep(records, ratios, args)
 
 
@@ -268,9 +219,7 @@ def _cmd_oracle(args) -> int:
 _COMMANDS = {
     "generate": _cmd_generate,
     "map": _cmd_map,
-    "sweep-cores": _cmd_sweep_cores,
-    "sweep-qubits": _cmd_sweep_qubits,
-    "sweep-attraction": _cmd_sweep_attraction,
+    **dict.fromkeys(_SWEEP_COMMANDS, _cmd_sweep),
     "oracle": _cmd_oracle,
 }
 

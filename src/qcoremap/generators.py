@@ -201,19 +201,27 @@ class BenchmarkSpec:
         if self.family == "cuccaro" and (self.num_qubits < 4 or self.num_qubits % 2):
             raise ValueError(f"cuccaro qubit count must be even and >= 4, got {self.num_qubits}")
 
-    def params_str(self) -> str:
-        parts = []
+    def _knobs(self) -> dict:
+        """The family's knobs, unset ones at their defaults, keyed by their
+        ``params_str`` labels."""
+        n = self.num_qubits
         if self.family == "quantum_volume":
-            parts.append(f"depth={self.depth if self.depth is not None else self.num_qubits}")
-        elif self.family == "random":
-            parts.append(f"p={self.density if self.density is not None else 0.5}")
-            parts.append(f"cycles={self.cycles if self.cycles is not None else self.num_qubits}")
-        elif self.family == "grover":
-            parts.append(f"iters={self.iterations if self.iterations is not None else 1}")
-        return ";".join(parts)
+            return {"depth": n if self.depth is None else self.depth}
+        if self.family == "random":
+            return {
+                "p": 0.5 if self.density is None else self.density,
+                "cycles": n if self.cycles is None else self.cycles,
+            }
+        if self.family == "grover":
+            return {"iters": 1 if self.iterations is None else self.iterations}
+        return {}
+
+    def params_str(self) -> str:
+        return ";".join(f"{label}={value}" for label, value in self._knobs().items())
 
     def build(self) -> Circuit:
         n = self.num_qubits
+        knobs = self._knobs()
         if self.family == "ghz":
             return gen_ghz(n)
         if self.family == "qft":
@@ -221,12 +229,7 @@ class BenchmarkSpec:
         if self.family == "cuccaro":
             return gen_cuccaro((n - 2) // 2)
         if self.family == "quantum_volume":
-            return gen_quantum_volume(n, self.depth if self.depth is not None else n, self.seed)
+            return gen_quantum_volume(n, knobs["depth"], self.seed)
         if self.family == "grover":
-            return gen_grover(n, self.iterations if self.iterations is not None else 1)
-        return gen_random(
-            n,
-            self.cycles if self.cycles is not None else n,
-            self.density if self.density is not None else 0.5,
-            self.seed,
-        )
+            return gen_grover(n, knobs["iters"])
+        return gen_random(n, knobs["cycles"], knobs["p"], self.seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from .assignment import Architecture, count_communications, validate_path
 from .circuit import Circuit, pair_arrays, timeslice
 from .fgp import fgp_map_circuit
-from .generators import BenchmarkSpec
+from .generators import STOCHASTIC_FAMILIES, BenchmarkSpec
 from .hqa import HqaConfig, map_circuit
 
 MAPPER_HQA = "hqa"
@@ -79,13 +79,29 @@ def parse_benchmark_names(names) -> list[tuple[str, float | None]]:
     return out
 
 
-def make_spec(family: str, density: float | None, num_qubits: int, seed: int) -> BenchmarkSpec:
-    try:
-        return BenchmarkSpec(
-            family=family, num_qubits=num_qubits, density=density, seed=seed
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _run_mapper(circuit: Circuit, arch: Architecture, mapper: str, use_attraction: bool):
+    """Slice ``circuit``, map it with ``mapper`` (hqa with or without
+    attraction, or fgp-roee) and validate every slice of the path.
+
+    Returns the path, the milliseconds taken to slice and map, and the
+    path's ``RunRecord`` counts: ``num_slices``, ``num_2q_gates`` and
+    ``communications``.
+    """
+    if mapper not in (MAPPER_HQA, MAPPER_FGP):
+        raise UsageError(f"unknown mapper '{mapper}'")
+    started = time.perf_counter()
+    sliced = timeslice(circuit)
+    if mapper == MAPPER_HQA:
+        path = map_circuit(circuit, arch, HqaConfig(use_attraction=use_attraction))
+    else:
+        path = fgp_map_circuit(circuit, arch)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    validate_path(path, sliced.slices, arch)
+    return path, elapsed_ms, {
+        "num_slices": sliced.num_slices,
+        "num_2q_gates": len(pair_arrays(sliced)[0]),
+        "communications": count_communications(path),
+    }
 
 
 def run_single(
@@ -103,16 +119,7 @@ def run_single(
     """
     if circuit is None:
         circuit = spec.build()
-    if mapper not in (MAPPER_HQA, MAPPER_FGP):
-        raise UsageError(f"unknown mapper '{mapper}'")
-    started = time.perf_counter()
-    sliced = timeslice(circuit)
-    if mapper == MAPPER_HQA:
-        path = map_circuit(circuit, arch, HqaConfig(use_attraction=use_attraction))
-    else:
-        path = fgp_map_circuit(circuit, arch)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    validate_path(path, sliced.slices, arch)
+    _path, elapsed_ms, counts = _run_mapper(circuit, arch, mapper, use_attraction)
     return RunRecord(
         family=spec.family,
         params=spec.params_str(),
@@ -122,17 +129,25 @@ def run_single(
         mapper=mapper,
         use_attraction=use_attraction if mapper == MAPPER_HQA else False,
         seed=spec.seed if spec.seed is not None else 0,
-        num_slices=sliced.num_slices,
-        num_2q_gates=len(pair_arrays(sliced)[0]),
-        communications=count_communications(path),
         wall_time_ms=elapsed_ms,
+        **counts,
     )
 
 
-def _seeds_for(family: str, base_seed: int, replicas: int) -> list[int]:
-    if family in ("quantum_volume", "random"):
-        return [base_seed + i for i in range(replicas)]
-    return [base_seed]
+def _specs(
+    family: str, density: float | None, num_qubits: int, seed: int, replicas: int
+) -> list[BenchmarkSpec]:
+    """One benchmark's specs at ``num_qubits``, one per seed: ``replicas``
+    seeds from ``seed`` for a stochastic family, ``seed`` alone otherwise. A
+    family or size the generators reject is a ``UsageError``."""
+    seeds = range(seed, seed + replicas) if family in STOCHASTIC_FAMILIES else (seed,)
+    try:
+        return [
+            BenchmarkSpec(family=family, num_qubits=num_qubits, density=density, seed=s)
+            for s in seeds
+        ]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _median(values) -> float:
@@ -176,30 +191,36 @@ def _sweep(benchmarks, cells, runs, seed: int, replicas: int, ratio=None):
     """Map every benchmark on every cell, once per seed and run.
 
     ``cells`` are ``(num_qubits, num_cores, capacity)`` triples for
-    ``_cell_architecture``; every one is checked before the first circuit is
-    mapped, as are ``replicas`` (at least one) and the cell list (not empty).
+    ``_cell_architecture``. Every input is checked before the first circuit
+    is mapped: the benchmark and cell lists (not empty), ``replicas`` (at
+    least one), every cell's architecture and every benchmark spec.
     ``runs`` are ``(mapper, use_attraction)`` pairs, mapped in that order.
     ``ratio``, when given, is ``(numerator run, denominator run, (numerator
     column, denominator column, ratio column))``, and each cell then gets a
     row comparing the two runs' median communications.
     """
     families = parse_benchmark_names(benchmarks)
+    if not families:
+        raise UsageError("the benchmark list is empty")
     if replicas < 1:
         raise UsageError(f"need at least one replica, got {replicas}")
     if not cells:
         raise UsageError("the swept list of core or qubit counts is empty")
     cells = [(cell[0], _cell_architecture(*cell)) for cell in cells]
+    cell_specs = [
+        [_specs(family, density, num_qubits, seed, replicas) for num_qubits, _ in cells]
+        for family, density in families
+    ]
     records: list[RunRecord] = []
     ratio_rows: list[dict] = []
-    for family, density in families:
+    for (family, density), specs_by_cell in zip(families, cell_specs):
         # Each circuit is built once and kept only while a later cell of the
         # same qubit count will map it again.
         circuits: dict[BenchmarkSpec, Circuit] = {}
-        for i, (num_qubits, arch) in enumerate(cells):
+        for i, ((num_qubits, arch), specs) in enumerate(zip(cells, specs_by_cell)):
             needed_later = any(q == num_qubits for q, _ in cells[i + 1 :])
             comms: dict[tuple[str, bool], list[int]] = {run: [] for run in runs}
-            for s in _seeds_for(family, seed, replicas):
-                spec = make_spec(family, density, num_qubits, s)
+            for spec in specs:
                 circuit = circuits.pop(spec, None)
                 if circuit is None:
                     circuit = spec.build()

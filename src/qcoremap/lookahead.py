@@ -1,8 +1,9 @@
 """Look-ahead weights of future two-qubit interactions by immediacy.
 
 A pair interacting d slices ahead contributes 2**-d, summed over a bounded
-look-ahead window. Pairs interacting in the current slice are marked with the
-INFINITE sentinel (IEEE +inf): they must be co-located, not merely attracted.
+look-ahead window. ``window_matrix`` leaves the current slice's pairs out.
+``fgp_map_circuit`` writes the INFINITE sentinel (IEEE +inf) defined here over
+those entries of its weights: they must be co-located, not merely attracted.
 """
 
 from __future__ import annotations

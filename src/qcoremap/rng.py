@@ -41,10 +41,8 @@ class Xoshiro256StarStar:
         state = seed & _MASK64
         s = []
         for _ in range(4):
+            s.append(_mix64(state))
             state = (state + _GOLDEN) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            s.append(z ^ (z >> 31))
         self._s = s
 
     def next_u64(self) -> int:

@@ -81,6 +81,27 @@ class TestMap:
         assert code == 1
         assert "slice 0 has 3 two-qubit gates" in capsys.readouterr().err
 
+    # sha256 over the path file and the metrics line of every ``map`` call,
+    # in family, then mapper order; stochastic families use seed 1.
+    PINNED_MAP = "a2a74b5d7cecc8b8de68b21165a5a3afe66d66994ef052b9b0b3303d01840753"
+
+    def test_map_outputs_match_pinned_digest(self, tmp_path, capsys):
+        from qcoremap.generators import FAMILIES
+
+        outputs = []
+        for family in FAMILIES:
+            qasm = tmp_path / f"{family}.qasm"
+            main(["generate", "--family", family, "--qubits", "24", "--seed", "1",
+                  "--out", str(qasm)])
+            for mapper in ("hqa", "fgp-roee"):
+                out = tmp_path / "path.json"
+                capsys.readouterr()
+                code = main(["map", str(qasm), "--cores", "4", "--capacity", "6",
+                             "--mapper", mapper, "--out", str(out)])
+                assert code == 0
+                outputs += [out.read_text(), capsys.readouterr().out]
+        assert hashlib.sha256("".join(outputs).encode()).hexdigest() == self.PINNED_MAP
+
 
 class TestOracle:
     def test_reports_optimum(self, tmp_path, capsys):
@@ -147,6 +168,22 @@ class TestSweeps:
         assert main(args + ["--benchmarks", "ghz", "--replicas", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @staticmethod
+    def _record_mapping(monkeypatch):
+        """Replace harness.run_single with a stub that records each call and
+        fails it, so a sweep that starts mapping exits 1 at once."""
+        import qcoremap.harness
+        from qcoremap import MappingValidationError
+
+        mapped = []
+
+        def run_single(*args, **kw):
+            mapped.append(args)
+            raise MappingValidationError("mapped")
+
+        monkeypatch.setattr(qcoremap.harness, "run_single", run_single)
+        return mapped
+
     @pytest.mark.parametrize(
         "args, empty_list",
         [
@@ -157,29 +194,50 @@ class TestSweeps:
         ids=["sweep-cores", "sweep-qubits", "sweep-attraction"],
     )
     def test_no_replicas_or_empty_list_is_usage_error(self, args, empty_list, monkeypatch, capsys):
-        import qcoremap.harness
-
-        mapped = []
-        monkeypatch.setattr(qcoremap.harness, "run_single", lambda *args, **kw: mapped.append(1))
+        mapped = self._record_mapping(monkeypatch)
         args = args + ["--benchmarks", "random:0.5"]
         for bad, message in [
             (["--replicas", "0"], "need at least one replica, got 0"),
             (["--replicas", "-1"], "need at least one replica, got -1"),
             (["--replicas", "1"] + empty_list, "the swept list of core or qubit counts is empty"),
+            (["--replicas", "1", "--benchmarks", ","], "the benchmark list is empty"),
+            (["--replicas", "1", "--benchmarks", ""], "the benchmark list is empty"),
         ]:
-            assert main(args + bad) == 2
+            code = main(args + bad)
+            assert mapped == []
+            assert code == 2
             assert capsys.readouterr().err == f"error: {message}\n"
-        assert mapped == []
 
     def test_every_cell_checked_before_mapping(self, monkeypatch, capsys):
+        mapped = self._record_mapping(monkeypatch)
+        for args, message in [
+            (["sweep-cores", "--qubits", "8", "--cores", "2,3", "--benchmarks", "ghz"],
+             "3 cores do not divide 8 qubits"),
+            (["sweep-cores", "--qubits", "8", "--cores", "2", "--benchmarks", "qft,ghz,bogus"],
+             "unknown benchmark family 'bogus'"),
+            (["sweep-qubits", "--cores", "1", "--qubits", "8,2", "--benchmarks", "ghz,cuccaro"],
+             "cuccaro qubit count must be even and >= 4, got 2"),
+            (["sweep-attraction", "--capacity", "2", "--qubits", "8,2",
+              "--benchmarks", "random:0.5,cuccaro"],
+             "cuccaro qubit count must be even and >= 4, got 2"),
+        ]:
+            code = main(args + ["--replicas", "1"])
+            assert mapped == []
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["sweep-cores", "sweep-qubits", "sweep-attraction"])
+    def test_flags_left_out_take_harness_defaults(self, command, monkeypatch, capsys):
         import qcoremap.harness
 
-        mapped = []
-        monkeypatch.setattr(qcoremap.harness, "run_single", lambda *args, **kw: mapped.append(1))
-        assert main(["sweep-cores", "--qubits", "8", "--cores", "2,3",
-                     "--benchmarks", "ghz", "--replicas", "1"]) == 2
-        assert "3 cores do not divide 8 qubits" in capsys.readouterr().err
+        mapped = self._record_mapping(monkeypatch)
+        calls = []
+        monkeypatch.setattr(
+            qcoremap.harness, command.replace("-", "_"), lambda **kw: calls.append(kw) or ([], [])
+        )
+        assert main([command]) == 0
         assert mapped == []
+        assert calls == [{}]
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep-cores", "--qubits", "12", "--cores", "2,6",

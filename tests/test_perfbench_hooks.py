@@ -67,6 +67,19 @@ def test_solve_spans_measure_hqa_matrices(monkeypatch):
     assert cells == [len(m) * len(m[0]) for m in matrices]
 
 
+def test_sweep_probes_see_every_run(monkeypatch):
+    # sweep-cores' probes wrap harness's run_single and its two mapper
+    # bindings; a run that reaches a mapper by another path is a failed call.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    monkeypatch.setattr(workloads.SweepCores, "QUBITS", 12)
+    monkeypatch.setattr(workloads.SweepCores, "CORE_COUNTS", (2, 6))
+    result = workloads.SweepCores(1).run_pass(None)
+    assert len(result.calls) == 8 * 2 * 2  # default benchmarks x cores x mappers
+    assert result.errors == []
+    assert [c for c in result.calls if c.failed] == []
+
+
 def test_environment_record_builds():
     assert run.environment()["numba_enabled"] is False
 

@@ -69,7 +69,8 @@ def test_solve_spans_measure_hqa_matrices(monkeypatch):
 
 def test_sweep_probes_see_every_run(monkeypatch):
     # sweep-cores' probes wrap harness's run_single and its two mapper
-    # bindings; a run that reaches a mapper by another path is a failed call.
+    # bindings; a run whose mapper call bypasses them leaves its probe
+    # without a path, and the pass reports an error.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     monkeypatch.setattr(workloads.SweepCores, "QUBITS", 12)

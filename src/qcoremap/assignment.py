@@ -84,6 +84,14 @@ class Assignment:
         object.__setattr__(self, "core_of", tuple(map(int, self.core_of)))
 
 
+def unchecked_assignment(core_of: tuple[int, ...]) -> Assignment:
+    """An Assignment built without ``__post_init__``, for a caller whose
+    ``core_of`` is already a tuple of plain ints, as ``to_json`` needs."""
+    assignment = object.__new__(Assignment)
+    object.__setattr__(assignment, "core_of", core_of)
+    return assignment
+
+
 def initial_assignment(num_qubits: int, arch: Architecture) -> Assignment:
     """Block layout: fill cores in index order up to capacity."""
     if num_qubits > arch.total_capacity:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
-from .assignment import check_pair_slots, place_pairs
+from .assignment import Architecture, AssignmentPath, initial_assignment
+from .assignment import check_pair_slots, place_pairs, unchecked_assignment
 from .circuit import Circuit, pair_arrays, timeslice
 from .lookahead import DEFAULT_HORIZON, INFINITE, window_matrix
 
@@ -188,7 +188,7 @@ def fgp_map_circuit(
             weights[b, a] = INFINITE
             fresh = roee_refine(weights, part)
             part = np.asarray(place_pairs(part.tolist(), a, b, arch)) if fresh is None else fresh
-        assignments.append(Assignment(tuple(part[:num_q].tolist())))
+        assignments.append(unchecked_assignment(tuple(part[:num_q].tolist())))
     return AssignmentPath(
         num_qubits=num_q,
         num_cores=arch.num_cores,

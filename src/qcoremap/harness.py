@@ -165,8 +165,11 @@ def _cell_architecture(
 ) -> Architecture:
     """The architecture of one sweep cell, which fixes ``num_qubits`` and
     either ``num_cores`` or ``capacity``: the other must be their exact
-    quotient, and the capacity even.
+    quotient, and the capacity even. ``num_qubits`` is checked first, so a
+    bad qubit count is not reported as the core count or capacity it yields.
     """
+    if num_qubits < 1:
+        raise UsageError(f"need at least one qubit, got {num_qubits}")
     if num_cores is not None:
         if num_cores < 1:
             raise UsageError(f"need at least one core, got {num_cores}")
@@ -187,13 +190,23 @@ def _cell_architecture(
     return Architecture(num_cores, capacity)
 
 
+def _distinct(values, what: str) -> list:
+    """``values`` as a list; a value listed twice is a UsageError naming ``what``."""
+    values = list(values)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"{what} {value} is listed twice")
+    return values
+
+
 def _sweep(benchmarks, cells, runs, seed: int, replicas: int, ratio=None):
     """Map every benchmark on every cell, once per seed and run.
 
     ``cells`` are ``(num_qubits, num_cores, capacity)`` triples for
     ``_cell_architecture``. Every input is checked before the first circuit
-    is mapped: the benchmark and cell lists (not empty), ``replicas`` (at
-    least one), every cell's architecture and every benchmark spec.
+    is mapped: the benchmark and cell lists (not empty, no benchmark listed
+    twice), ``replicas`` (at least one), every cell's architecture and every
+    benchmark spec.
     ``runs`` are ``(mapper, use_attraction)`` pairs, mapped in that order.
     ``ratio``, when given, is ``(numerator run, denominator run, (numerator
     column, denominator column, ratio column))``, and each cell then gets a
@@ -202,6 +215,10 @@ def _sweep(benchmarks, cells, runs, seed: int, replicas: int, ratio=None):
     families = parse_benchmark_names(benchmarks)
     if not families:
         raise UsageError("the benchmark list is empty")
+    _distinct(
+        (f"'{family}'" if density is None else f"'{family}:{density}'" for family, density in families),
+        "benchmark",
+    )
     if replicas < 1:
         raise UsageError(f"need at least one replica, got {replicas}")
     if not cells:
@@ -292,7 +309,7 @@ def sweep_cores(
     replicas: int = 5,
 ):
     """Fixed circuit size, varying core count; q/N must be an even integer."""
-    cells = [(num_qubits, n, None) for n in core_counts]
+    cells = [(num_qubits, n, None) for n in _distinct(core_counts, "core count")]
     return _mapper_comparison(benchmarks, cells, mappers, attraction_modes, seed, replicas)
 
 
@@ -306,7 +323,7 @@ def sweep_qubits(
     replicas: int = 5,
 ):
     """Fixed core count, varying circuit size; q/N must be an even integer."""
-    cells = [(q, num_cores, None) for q in qubit_counts]
+    cells = [(q, num_cores, None) for q in _distinct(qubit_counts, "qubit count")]
     return _mapper_comparison(benchmarks, cells, mappers, attraction_modes, seed, replicas)
 
 
@@ -318,7 +335,7 @@ def sweep_attraction(
     replicas: int = 5,
 ):
     """Attraction on vs off for the Hungarian mapper at fixed qubits per core."""
-    cells = [(q, None, capacity) for q in qubit_counts]
+    cells = [(q, None, capacity) for q in _distinct(qubit_counts, "qubit count")]
     off, on = (MAPPER_HQA, False), (MAPPER_HQA, True)
     ratio = (off, on, ("comms_attraction_off", "comms_attraction_on", "ratio_off_over_on"))
     return _sweep(benchmarks, cells, [off, on], seed, replicas, ratio)

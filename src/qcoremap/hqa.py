@@ -35,7 +35,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
-from .assignment import check_pair_slots, place_pairs
+from .assignment import check_pair_slots, place_pairs, unchecked_assignment
 from .circuit import Circuit, TimeslicedCircuit, pair_arrays, timeslice
 from .hungarian import FORBIDDEN, solve
 from .lookahead import DEFAULT_HORIZON, window_matrix
@@ -83,6 +83,10 @@ def parity_fix(
     its own (keeping the pair together preserves validity), which frees space
     but yields no single spare, so that core stays unpaired. Unpaired
     leftovers arise only under odd capacities or partially filled cores.
+
+    Only odd cores are scanned: ``core_of.index`` steps through a core's
+    residents lowest first, and the scan stops at the first idle one, so a
+    transition pays for the residents it visits, not for every qubit.
     """
     core_of = prev.core_of
     partner_of = dict(zip(a, b))
@@ -94,35 +98,44 @@ def parity_fix(
     for q in lifted:
         counts[core_of[q]] += 1
 
-    odd_residents: dict[int, list[int]] = {c: [] for c in range(num_cores) if counts[c] % 2}
-    for q, core in enumerate(core_of):
-        if core in odd_residents:
-            odd_residents[core].append(q)
-    spares: list[tuple[int, int]] = []
-    for core, residents in odd_residents.items():
-        residents = [q for q in residents if q not in lifted]
-        spare = next((q for q in residents if q not in partner_of and q not in one_qubit), None)
-        if spare is None:
-            spare = next((q for q in residents if q not in partner_of), None)
-        if spare is None:
-            if residents:
-                q = residents[0]
-                out.append(UnfeasibleOp(q, partner_of[q], auxiliary=True))
-                lifted.update((q, partner_of[q]))
+    spares: list[int] = []
+    for core in range(num_cores):
+        if not counts[core] % 2:
             continue
-        spares.append((core, spare))
+        paired = acting = spare = None
+        q = -1
+        while True:
+            try:
+                q = core_of.index(core, q + 1)
+            except ValueError:
+                break
+            if q in partner_of:  # lifted, or half of a co-located pair
+                if paired is None and q not in lifted:
+                    paired = q
+            elif q not in one_qubit:
+                spare = q
+                break
+            elif acting is None:
+                acting = q
+        if spare is None:
+            spare = acting
+        if spare is not None:
+            spares.append(spare)
+        elif paired is not None:
+            # Its partner shares the core, so no later core sees either.
+            out.append(UnfeasibleOp(paired, partner_of[paired], auxiliary=True))
 
-    for (_, qa), (_, qb) in zip(spares[::2], spares[1::2]):
+    for qa, qb in zip(spares[::2], spares[1::2]):
         out.append(UnfeasibleOp(qa, qb, auxiliary=True))
     return out
 
 
 def _membership(residency: Sequence[int], num_cores: int) -> np.ndarray:
     """Qubit-by-core 0/1 matrix of the residents; lifted qubits have no 1."""
+    cores = np.array(residency)
     member = np.zeros((len(residency), num_cores))
-    for q, core in enumerate(residency):
-        if core >= 0:
-            member[q, core] = 1.0
+    # A lifted qubit's -1 indexes the last column, where it writes a 0.
+    member[np.arange(len(residency)), cores] = cores >= 0
     return member
 
 
@@ -150,7 +163,8 @@ def hqa_step(
     have two free slots, by one ``solve`` on nested lists. When operations
     are pending and no core has two free slots, an idle qubit is evicted to
     open one (``_evict_idle``), or else ``place_pairs`` places the slice
-    afresh.
+    afresh. Either row holds only the plain ints of the incoming assignment
+    and of ``solve``, so the result is built by ``unchecked_assignment``.
     """
     pa, pb, offsets = pair_arrays(sliced)
     lo, hi = offsets[t + 1], offsets[t + 2]
@@ -188,7 +202,7 @@ def hqa_step(
         available = sum(1 for room in free if room >= 2)
         if available == 0:
             if not _evict_idle(ops[start], prev, {*a, *b}, residency, free):
-                return Assignment(tuple(place_pairs(core_of, pa[lo:hi], pb[lo:hi], arch)))
+                return unchecked_assignment(tuple(place_pairs(core_of, pa[lo:hi], pb[lo:hi], arch)))
             if member is not None:
                 member = _membership(residency, num_cores)
             available = 1
@@ -207,7 +221,7 @@ def hqa_step(
             if member is not None:
                 member[op.qa, core] = member[op.qb, core] = 1.0
         start = end
-    return Assignment(tuple(residency))
+    return unchecked_assignment(tuple(residency))
 
 
 def _evict_idle(

@@ -61,6 +61,13 @@ def _jv_rectangular(cost, k):
     padding rows change no dual and take the unmatched columns in ascending
     order; on rounded reals they can move a dual by a rounding error, far
     inside TOL.
+
+    Each augmentation keeps the columns outside its tree in an ascending
+    list and the tree's columns in another, so the search for the next
+    column and the dual update visit only the columns they act on. The
+    free columns are met in ascending order and each tree column has its
+    own row, so every float operation and tie is that of the reference's
+    scan over all k + 1 columns with a used flag.
     """
     r = len(cost)
     inf = FORBIDDEN
@@ -71,35 +78,36 @@ def _jv_rectangular(cost, k):
     for i in range(r):
         p[k] = i
         j0 = k
-        minv = [inf] * (k + 1)
-        used = [False] * (k + 1)
+        minv = [inf] * k
+        free = list(range(k))  # columns outside the tree, ascending
+        tree = []  # columns in the tree, the start column k first
         while True:
-            used[j0] = True
+            tree.append(j0)
             i0 = p[j0]
             row = cost[i0]
             ui = u[i0]
             delta = inf
             j1 = -1
-            for j in range(k):
-                if not used[j]:
-                    cur = row[j] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
+            for j in free:
+                cur = row[j] - ui - v[j]
+                m = minv[j]
+                if cur < m:
+                    minv[j] = m = cur
+                    way[j] = j0
+                if m < delta:
+                    delta = m
+                    j1 = j
             if j1 < 0:
                 return 1, [-1] * r, u, v[:k]
-            for j in range(k + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in tree:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
             if p[j0] < 0:
                 break
+            free.remove(j0)
         while j0 != k:  # augment along the alternating path
             j1 = way[j0]
             p[j0] = p[j1]

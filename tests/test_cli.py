@@ -226,6 +226,44 @@ class TestSweeps:
             assert code == 2
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_repeated_entry_is_usage_error(self, monkeypatch, capsys):
+        mapped = self._record_mapping(monkeypatch)
+        for args, message in [
+            (["sweep-cores", "--qubits", "8", "--cores", "2", "--benchmarks", "ghz,ghz",
+              "--mapper", "hqa"], "benchmark 'ghz' is listed twice"),
+            (["sweep-cores", "--qubits", "8", "--cores", "2", "--benchmarks", "random:0.5,qft,random:.5"],
+             "benchmark 'random:0.5' is listed twice"),
+            (["sweep-cores", "--qubits", "8", "--cores", "2,2", "--benchmarks", "ghz",
+              "--mapper", "hqa"], "core count 2 is listed twice"),
+            (["sweep-qubits", "--cores", "2", "--qubits", "8,4,8", "--benchmarks", "ghz"],
+             "qubit count 8 is listed twice"),
+            (["sweep-attraction", "--capacity", "4", "--qubits", "8,8", "--benchmarks", "cuccaro"],
+             "qubit count 8 is listed twice"),
+            (["sweep-attraction", "--capacity", "4", "--qubits", "8", "--benchmarks", "cuccaro,cuccaro"],
+             "benchmark 'cuccaro' is listed twice"),
+        ]:
+            code = main(args + ["--replicas", "1", "--no-timing"])
+            assert mapped == []
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, qubits",
+        [
+            (["sweep-attraction", "--capacity", "4", "--qubits"], "0"),
+            (["sweep-qubits", "--cores", "2", "--qubits"], "0"),
+            (["sweep-cores", "--cores", "2", "--qubits"], "-4"),
+            (["sweep-cores", "--cores", "2", "--qubits"], "0"),
+        ],
+        ids=["sweep-attraction", "sweep-qubits", "sweep-cores", "sweep-cores-zero"],
+    )
+    def test_nonpositive_qubit_count_is_usage_error(self, args, qubits, monkeypatch, capsys):
+        mapped = self._record_mapping(monkeypatch)
+        code = main(args + [qubits, "--benchmarks", "ghz", "--replicas", "1"])
+        assert mapped == []
+        assert code == 2
+        assert capsys.readouterr().err == f"error: need at least one qubit, got {qubits}\n"
+
     @pytest.mark.parametrize("command", ["sweep-cores", "sweep-qubits", "sweep-attraction"])
     def test_flags_left_out_take_harness_defaults(self, command, monkeypatch, capsys):
         import qcoremap.harness

@@ -213,6 +213,14 @@ class TestFgpMapCircuit:
         assert path.num_qubits == 5
         validate_path(path, timeslice(circuit).slices, arch)
 
+    def test_rows_hold_plain_ints(self):
+        # Rows are built unchecked from ``tolist``: a tuple of ints each.
+        path = fgp_map_circuit(gen_qft(12), Architecture(3, 4))
+        for assignment in path.assignments:
+            assert type(assignment.core_of) is tuple
+            assert all(type(core) is int for core in assignment.core_of)
+        assert type(path).from_json(path.to_json()) == path
+
     def test_heterogeneous_capacities_rejected(self):
         arch = Architecture(2, 2, core_capacities=(2, 4))
         with pytest.raises(ValueError, match="uniform"):

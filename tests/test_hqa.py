@@ -120,6 +120,39 @@ class TestParityFix:
         converted = next(op for op in fixed if op.qubits == (0, 1))
         assert converted.auxiliary
 
+    def test_scan_steps_past_lifted_residents(self):
+        # Core 0's lowest residents 0, 1, 2 are all lifted; 3 is its spare.
+        prev = Assignment((0, 0, 0, 0, 1, 1, 1, 1))
+        gates = [cx(0, 4), cx(1, 5), cx(2, 6)]
+        fixed = fix(unfeasible(prev, gates), prev, gates, 2)
+        assert [(op.qubits, op.auxiliary) for op in fixed] == [
+            ((0, 4), False), ((1, 5), False), ((2, 6), False), ((3, 7), True)
+        ]
+
+    def test_scan_steps_past_one_qubit_actors_to_an_idle_resident(self):
+        # Core 0: 1 and 2 act in h, 3 is idle; core 1: 5 acts in h, 6 is idle.
+        prev = Assignment((0, 0, 0, 0, 1, 1, 1, 1))
+        gates = [cx(0, 4), h(1), h(2), h(5)]
+        fixed = fix(unfeasible(prev, gates), prev, gates, 2)
+        assert [op.qubits for op in fixed] == [(0, 4), (3, 6)]
+
+    def test_lowest_one_qubit_actor_after_a_pair(self):
+        # Core 0 has no idle resident: 1 and 2 are paired, 3 acts in h.
+        prev = Assignment((0, 0, 0, 0, 1, 1, 1, 1))
+        gates = [cx(0, 4), cx(1, 2), h(3), h(5), h(6), h(7)]
+        fixed = fix(unfeasible(prev, gates), prev, gates, 2)
+        assert [op.qubits for op in fixed] == [(0, 4), (3, 5)]
+
+    def test_paired_cores_are_lifted_and_left_unpaired(self):
+        # Cores 1 and 3 hold only co-located pairs: each pair is lifted, and
+        # the spares of cores 0 and 2 make the one auxiliary pair.
+        prev = Assignment((0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3))
+        gates = [cx(0, 3), cx(4, 5), cx(6, 9), cx(10, 11)]
+        fixed = fix(unfeasible(prev, gates), prev, gates, 4)
+        assert [(op.qubits, op.auxiliary) for op in fixed] == [
+            ((0, 3), False), ((6, 9), False), ((4, 5), True), ((10, 11), True), ((1, 7), True)
+        ]
+
     @given(
         st.integers(min_value=2, max_value=3),
         st.sampled_from([2, 4]),
@@ -363,6 +396,40 @@ class TestHqaStep:
         # Rounds: [(0,4),(1,5)] then [(2,6),(3,7)-auxiliary]; home cores win ties.
         assert result.core_of == (0, 1, 0, 1, 0, 1, 0, 1)
         validate_path(AssignmentPath(8, 2, 4, (result,)), sliced.slices, arch)
+
+
+    def test_result_holds_plain_ints(self, monkeypatch):
+        # The step builds its Assignment unchecked, so its row must already
+        # be what the checked constructor makes: a tuple of ints, which
+        # ``to_json`` writes as JSON integers.
+        from qcoremap.generators import FAMILIES, BenchmarkSpec
+
+        def logged(log, original):
+            def wrapper(*args):
+                log.append(original(*args))
+                return log[-1]
+            return wrapper
+
+        steps, evictions, fallbacks = [], [], []
+        monkeypatch.setattr(hqa, "hqa_step", logged(steps, hqa.hqa_step))
+        monkeypatch.setattr(hqa, "_evict_idle", logged(evictions, hqa._evict_idle))
+        monkeypatch.setattr(hqa, "place_pairs", logged(fallbacks, hqa.place_pairs))
+        sweep = [
+            (BenchmarkSpec(family=family, num_qubits=24, seed=1).build(), Architecture(k, 24 // k))
+            for family in FAMILIES
+            for k in (2, 4)
+        ]
+        for circuit, arch in sweep + tiny_instances(count=150):
+            for attraction in (False, True):
+                try:
+                    map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
+                except (CapacityError, MappingInfeasibleError):
+                    pass
+        assert True in evictions and fallbacks
+        for result in steps:
+            assert type(result.core_of) is tuple
+            assert all(type(core) is int for core in result.core_of)
+            assert result == Assignment(result.core_of)
 
 
 class TestMapCircuit:

@@ -42,7 +42,9 @@ class Architecture:
     """N cores with all-to-all connectivity inside and between cores.
 
     core_capacities overrides the uniform capacity when set; the CLI only
-    exposes the uniform form.
+    exposes the uniform form. The mappers, checks and oracle read only
+    ``capacities``, so with core_capacities set, ``capacity`` is just the
+    label written to paths and run records.
     """
 
     num_cores: int
@@ -68,10 +70,6 @@ class Architecture:
     @property
     def total_capacity(self) -> int:
         return sum(self.capacities)
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.core_capacities is None or len(set(self.core_capacities)) == 1
 
 
 @dataclass(frozen=True)
@@ -180,16 +178,6 @@ class AssignmentPath:
             "slices": [list(a.core_of) for a in self.assignments],
         }
         return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AssignmentPath":
-        doc = json.loads(text)
-        return cls(
-            num_qubits=doc["num_qubits"],
-            num_cores=doc["num_cores"],
-            capacity=doc["capacity"],
-            assignments=tuple(Assignment(tuple(row)) for row in doc["slices"]),
-        )
 
 
 def count_communications(path: AssignmentPath | Sequence[Assignment]) -> int:

@@ -1,5 +1,7 @@
-"""Baseline mapper: per-slice balanced partition refinement of the look-ahead
-interaction graph by pairwise exchanges.
+"""Baseline mapper: per-slice partition refinement of the look-ahead
+interaction graph by pairwise exchanges, into one part per core of that core's
+capacity. An exchange keeps every part's size, so cores of unequal capacity
+need nothing further.
 
 The refinement is Kernighan-Lin style: within a pass, repeatedly take the
 highest-gain swap among unlocked cross-part pairs and lock both qubits. This
@@ -101,8 +103,8 @@ def roee_refine(weights: np.ndarray, initial):
     ``weights`` is a symmetric float array over every slot of the partition,
     dummy slots included: 0 for no edge, a finite look-ahead weight, or
     INFINITE for a pair that must share a part. ``initial`` gives each slot's
-    part, with all parts the same size. Weights that are not exactly
-    symmetric raise ValueError.
+    part; a swap keeps every part's size, so the sizes need not be equal.
+    Weights that are not exactly symmetric raise ValueError.
 
     Each pass builds one n x n matrix of exchange gains, -inf on same-part
     and locked pairs, and takes the first row-major argmax as its next swap:
@@ -159,23 +161,23 @@ def fgp_map_circuit(
     """Re-partition the interaction graph at every slice, seeding each slice
     with the previous partition.
 
-    Qubit slots beyond the circuit (when it does not fill the architecture)
-    are padded with zero-weight dummy qubits that may be swapped but never
+    The partition has one slot per unit of ``arch.total_capacity`` and starts
+    from the block layout of ``initial_assignment``, so each core's part has
+    that core's capacity. Slots beyond the circuit (when it does not fill the
+    architecture) hold zero-weight dummy qubits that may be swapped but never
     appear in the output assignments. A slice the refinement cannot make
     valid is placed by ``place_pairs`` over every padded slot; the dummies, the
     highest indices, take the leftover room, so every part stays full.
     ``config`` is unused (see ``FgpConfig``).
     """
-    if not arch.is_uniform:
-        raise ValueError("partition refinement requires uniform core capacities")
     num_q = circuit.num_qubits
-    padded = arch.num_cores * arch.capacity
+    padded = arch.total_capacity
     initial_assignment(num_q, arch)  # capacity check with the shared error
     sliced = timeslice(circuit)
     pa, pb, offsets = pair_arrays(sliced)
     check_pair_slots(offsets, arch)
 
-    part = np.arange(padded, dtype=np.int64) // arch.capacity
+    part = np.array(initial_assignment(padded, arch).core_of, dtype=np.int64)
     assignments = []
     for t in range(sliced.num_slices):
         a, b = pa[offsets[t]:offsets[t + 1]], pb[offsets[t]:offsets[t + 1]]

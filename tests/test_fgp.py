@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qcoremap import (
     gen_qft,
     gen_quantum_volume,
     gen_random,
+    initial_assignment,
     minimum_communications,
     roee_refine,
     timeslice,
@@ -219,12 +221,24 @@ class TestFgpMapCircuit:
         for assignment in path.assignments:
             assert type(assignment.core_of) is tuple
             assert all(type(core) is int for core in assignment.core_of)
-        assert type(path).from_json(path.to_json()) == path
+        assert json.loads(path.to_json())["slices"] == [list(a.core_of) for a in path.assignments]
 
-    def test_heterogeneous_capacities_rejected(self):
-        arch = Architecture(2, 2, core_capacities=(2, 4))
-        with pytest.raises(ValueError, match="uniform"):
-            fgp_map_circuit(gen_ghz(4), arch)
+    SIX = Circuit(6, tuple(Gate("cx", q) for q in ((0, 5), (1, 4), (0, 1), (4, 5), (2, 5), (0, 3))))
+
+    @pytest.mark.parametrize(
+        "circuit,arch",
+        [
+            (gen_ghz(4), Architecture(2, 2, core_capacities=(2, 4))),
+            # The capacities, not the scalar label, size the partition.
+            (SIX, Architecture(2, 5, core_capacities=(3, 3))),
+            (SIX, Architecture(2, 2, core_capacities=(3, 3))),
+        ],
+        ids=["unequal", "label-above", "label-below"],
+    )
+    def test_maps_by_core_capacities(self, circuit, arch):
+        path = fgp_map_circuit(circuit, arch)
+        validate_path(path, timeslice(circuit).slices, arch)
+        assert count_communications(path) >= minimum_communications(circuit, arch)
 
     @given(circuits(max_qubits=8, max_gates=24), st.integers(min_value=2, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -299,10 +313,10 @@ def reference_fgp_path(circuit, arch):
     """fgp's path with every slice refined from its full interaction graph:
     look-ahead window weights, current pairs infinite, padded with dummies."""
     num_q = circuit.num_qubits
-    padded = arch.num_cores * arch.capacity
+    padded = arch.total_capacity
     sliced = timeslice(circuit)
     pa, pb, offsets = pair_arrays(sliced)
-    part = np.arange(padded) // arch.capacity
+    part = np.asarray(initial_assignment(padded, arch).core_of)
     path = []
     for t, gates in enumerate(sliced.slices):
         weights = np.zeros((padded, padded))
@@ -328,10 +342,17 @@ class TestValidSliceSkip:
     ]
 
     @pytest.mark.parametrize("index", range(len(CIRCUITS)))
-    @pytest.mark.parametrize("cores,capacity", [(2, 6), (3, 4), (3, 6)])
+    @pytest.mark.parametrize(
+        "cores,capacity",
+        [(2, 6), (3, 4), (3, 6), pytest.param(3, (4, 6, 2), id="3-4,6,2")],
+    )
     def test_matches_full_refinement(self, index, cores, capacity):
-        # (3, 6) leaves slots empty, so the partition carries dummy qubits.
+        # (3, 6) leaves slots empty, so the partition carries dummy qubits;
+        # (4, 6, 2) refines parts of unequal size.
         circuit = self.CIRCUITS[index]
-        arch = Architecture(cores, capacity)
+        if isinstance(capacity, tuple):
+            arch = Architecture(cores, max(capacity), core_capacities=capacity)
+        else:
+            arch = Architecture(cores, capacity)
         got = [a.core_of for a in fgp_map_circuit(circuit, arch).assignments]
         assert got == reference_fgp_path(circuit, arch)

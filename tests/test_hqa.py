@@ -512,8 +512,9 @@ class TestMapCircuit:
 
 
 class TestTotalOnFeasibleInput:
-    """hqa raises only when the qubits exceed the total capacity or a slice
-    has more pairs than sum_j floor(c_j / 2); everything else is mapped."""
+    """hqa, and fgp too, raise only when the qubits exceed the total capacity
+    or a slice has more pairs than sum_j floor(c_j / 2); everything else is
+    mapped."""
 
     def test_smallest_former_failure(self):
         circuit = Circuit(3, (cx(2, 1), cx(1, 0)))
@@ -580,13 +581,18 @@ class TestTotalOnFeasibleInput:
         feasible = sum(caps) >= circuit.num_qubits and all(
             sum(1 for g in gates if len(g.qubits) == 2) <= slots for gates in sliced.slices
         )
-        try:
-            path = map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
-        except (CapacityError, MappingInfeasibleError):
-            assert not feasible
-            return
-        assert feasible
-        validate_path(path, sliced.slices, arch)
+        mappers = (
+            lambda c, a: map_circuit(c, a, HqaConfig(use_attraction=attraction)),
+            fgp.fgp_map_circuit,
+        )
+        for mapper in mappers:
+            try:
+                path = mapper(circuit, arch)
+            except (CapacityError, MappingInfeasibleError):
+                assert not feasible
+                continue
+            assert feasible
+            validate_path(path, sliced.slices, arch)
 
 
 class TestPinnedTinyPaths:

@@ -111,8 +111,8 @@ def initial_assignment(num_qubits: int, arch: Architecture) -> Assignment:
 
 
 def check_pair_slots(offsets: np.ndarray, arch: Architecture) -> None:
-    """Raise MappingInfeasibleError if a slice (``offsets`` as from
-    ``circuit.pair_arrays``) has more pairs than the cores hold, ``sum_j floor(c_j / 2)``."""
+    """Raise MappingInfeasibleError if a slice (``offsets`` as in a slicing's
+    ``pairs``) has more pairs than the cores hold, ``sum_j floor(c_j / 2)``."""
     slots = sum(cap // 2 for cap in arch.capacities)
     for t, count in enumerate(np.diff(offsets).tolist()):
         if count > slots:

@@ -5,8 +5,8 @@ angles are opaque payload kept for serialization fidelity.
 
 Circuits and gates are immutable, so a circuit's timeslicing is computed once
 and kept on the circuit: every later ``timeslice`` call returns that object.
-Likewise a slicing's two-qubit pairs are flattened once by ``pair_arrays``
-and kept on the slicing; the mapping passes and the oracle read them there.
+The same walk flattens the slices into read-only int arrays of pairs and of
+one-qubit gates; the mapping passes and the oracle read those, not the gates.
 
 A ``Gate`` is slotted and has no per-instance ``__dict__``. A parsed or
 generated circuit holds tens of thousands of gates; with a dict each, a gate
@@ -17,6 +17,7 @@ garbage collections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -92,24 +93,39 @@ def _unchecked_circuit(num_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
 
 @dataclass(frozen=True)
 class TimeslicedCircuit:
-    """Gates layered into slices whose members act on pairwise-disjoint qubits."""
+    """Gates layered into slices whose members act on pairwise-disjoint qubits.
+
+    ``pairs`` is ``(a, b, offsets)``, slice m's two-qubit gates at
+    ``[offsets[m], offsets[m + 1])`` in gate order and qubit order, and
+    ``singles`` is ``(q, offsets)`` for the one-qubit gates: read-only int64
+    arrays, built by ``timeslice``, that equality, hashing and repr ignore.
+    """
 
     num_qubits: int
     slices: tuple[tuple[Gate, ...], ...]
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    singles: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "slices", tuple(tuple(s) for s in self.slices))
+        for array in (*self.pairs, *self.singles):
+            array.setflags(write=False)
+
+    def __reduce__(self):
+        # Unpickled arrays are writable: rebuild through __init__, which seals them.
+        return (TimeslicedCircuit, (self.num_qubits, self.slices, self.pairs, self.singles))
 
     @property
     def num_slices(self) -> int:
         return len(self.slices)
 
-    def __getstate__(self):
-        # The arrays kept by pair_arrays are read-only, and unpickled arrays
-        # are not: drop them so a copy flattens afresh.
-        state = dict(self.__dict__)
-        state.pop("_pairs", None)
-        return state
+
+def _flatten(buckets: list[list[int]], width: int):
+    """Each bucket's ``width``-qubit gates as one array per qubit position, then the offsets."""
+    counts = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
+    offsets = np.zeros(len(buckets) + 1, dtype=np.int64)
+    np.cumsum(counts // width, out=offsets[1:])
+    flat = np.fromiter(chain.from_iterable(buckets), dtype=np.int64, count=int(counts.sum()))
+    return (*(flat[i::width].copy() for i in range(width)), offsets)
 
 
 def timeslice(circuit: Circuit) -> TimeslicedCircuit:
@@ -117,59 +133,40 @@ def timeslice(circuit: Circuit) -> TimeslicedCircuit:
 
     Each gate lands in the earliest slice after the last slice that touched any
     of its qubits, so slices are disjoint, per-qubit order is preserved, and no
-    gate could be hoisted one slice earlier. The result is computed on the
-    first call for a circuit and returned again on every later call.
+    gate could be hoisted one slice earlier. The same walk appends each gate's
+    qubits to its slice's pair or one-qubit bucket, which ``_flatten`` turns
+    into ``pairs`` and ``singles``. The result is computed on the first call
+    for a circuit and returned again on every later call.
     """
     cached = circuit.__dict__.get("_sliced")
     if cached is not None:
         return cached
     last = [-1] * circuit.num_qubits
     slices: list[list[Gate]] = []
+    pair_qubits: list[list[int]] = []
+    single_qubits: list[list[int]] = []
     for g in circuit.gates:
         qubits = g.qubits
         if len(qubits) == 2:
             a, b = qubits
             s = 1 + (last[a] if last[a] > last[b] else last[b])
             last[a] = last[b] = s
+            bucket = pair_qubits
         else:
             s = 1 + last[qubits[0]]
             last[qubits[0]] = s
+            bucket = single_qubits
         if s == len(slices):
-            slices.append([g])
-        else:
-            slices[s].append(g)
-    sliced = TimeslicedCircuit(circuit.num_qubits, slices)
+            slices.append([])
+            pair_qubits.append([])
+            single_qubits.append([])
+        slices[s].append(g)
+        bucket[s].extend(qubits)
+    sliced = TimeslicedCircuit(
+        circuit.num_qubits,
+        tuple(map(tuple, slices)),
+        _flatten(pair_qubits, 2),
+        _flatten(single_qubits, 1),
+    )
     circuit.__dict__["_sliced"] = sliced
     return sliced
-
-
-def pair_arrays(sliced: TimeslicedCircuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten two-qubit gate endpoints into read-only (a, b, slice_offsets) arrays.
-
-    slice_offsets has length T+1; slice m's pairs live at [offsets[m], offsets[m+1]),
-    in gate order and with each gate's qubit order. The arrays are computed on
-    the first call for a slicing and kept in its ``__dict__`` under ``_pairs``,
-    the way ``timeslice`` keeps its result on the circuit, so every pass shares
-    one flattening.
-    """
-    cached = sliced.__dict__.get("_pairs")
-    if cached is not None:
-        return cached
-    a_list: list[int] = []
-    b_list: list[int] = []
-    offsets = [0]
-    for gates in sliced.slices:
-        for g in gates:
-            if len(g.qubits) == 2:
-                a_list.append(g.qubits[0])
-                b_list.append(g.qubits[1])
-        offsets.append(len(a_list))
-    pairs = (
-        np.asarray(a_list, dtype=np.int64),
-        np.asarray(b_list, dtype=np.int64),
-        np.asarray(offsets, dtype=np.int64),
-    )
-    for array in pairs:
-        array.setflags(write=False)
-    sliced.__dict__["_pairs"] = pairs
-    return pairs

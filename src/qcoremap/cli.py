@@ -1,6 +1,7 @@
 """Command-line harness: generate benchmarks, map circuits, run sweeps.
 
-Exit codes: 0 success, 1 validation or mapping failure, 2 usage error.
+Exit codes: 0 success; 1 when the architecture cannot hold or map the
+circuit, or a path fails validation; 2 usage error, bad QASM included.
 """
 
 from __future__ import annotations
@@ -11,20 +12,19 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .assignment import Architecture, MappingInfeasibleError, MappingValidationError
+from .assignment import Architecture, CapacityError, MappingInfeasibleError, MappingValidationError
 from .circuit import timeslice
 from .generators import FAMILIES, BenchmarkSpec
 from .harness import (
     MAPPER_FGP,
     MAPPER_HQA,
-    UsageError,
     ratios_to_csv,
     ratios_to_json,
     records_to_csv,
     records_to_json,
 )
 from .oracle import OracleInfeasibleError, minimum_communications
-from .qasm import QasmError, parse_qasm, serialize_qasm
+from .qasm import parse_qasm, serialize_qasm
 
 _MAPPER_FLAGS = {"hqa": MAPPER_HQA, "fgp-roee": MAPPER_FGP}
 _SWEEP_MAPPERS = {"hqa": (MAPPER_HQA,), "fgp-roee": (MAPPER_FGP,), "both": (MAPPER_FGP, MAPPER_HQA)}
@@ -229,17 +229,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, QasmError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (
-        MappingValidationError,
-        MappingInfeasibleError,
-        OracleInfeasibleError,
-        OSError,
-    ) as exc:
+    except (CapacityError, MappingInfeasibleError, MappingValidationError,
+            OracleInfeasibleError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except ValueError as exc:  # UsageError and QasmError among them
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ import numpy as np
 
 from .assignment import Architecture, AssignmentPath, initial_assignment
 from .assignment import check_pair_slots, place_pairs, unchecked_assignment
-from .circuit import Circuit, pair_arrays, timeslice
+from .circuit import Circuit, timeslice
 from .lookahead import DEFAULT_HORIZON, INFINITE, window_matrix
 
 
@@ -174,7 +174,7 @@ def fgp_map_circuit(
     padded = arch.total_capacity
     initial_assignment(num_q, arch)  # capacity check with the shared error
     sliced = timeslice(circuit)
-    pa, pb, offsets = pair_arrays(sliced)
+    pa, pb, offsets = sliced.pairs
     check_pair_slots(offsets, arch)
 
     part = np.array(initial_assignment(padded, arch).core_of, dtype=np.int64)

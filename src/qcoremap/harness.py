@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, fields
 
 from .assignment import Architecture, count_communications, validate_path
-from .circuit import Circuit, pair_arrays, timeslice
+from .circuit import Circuit, timeslice
 from .fgp import fgp_map_circuit
 from .generators import STOCHASTIC_FAMILIES, BenchmarkSpec
 from .hqa import HqaConfig, map_circuit
@@ -99,7 +99,7 @@ def _run_mapper(circuit: Circuit, arch: Architecture, mapper: str, use_attractio
     validate_path(path, sliced.slices, arch)
     return path, elapsed_ms, {
         "num_slices": sliced.num_slices,
-        "num_2q_gates": len(pair_arrays(sliced)[0]),
+        "num_2q_gates": len(sliced.pairs[0]),
         "communications": count_communications(path),
     }
 

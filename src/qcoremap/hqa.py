@@ -1,14 +1,14 @@
 """Mapper that repairs each timeslice transition by assigning split two-qubit
 operations to cores with an iterative minimum-cost matching.
 
-For the transition into slice t+1, every pair of the slice, as flattened by
-``circuit.pair_arrays`` for both mappers, whose endpoints sit in different
-cores becomes an operation to place. Both endpoints of an operation always
-land in the same core, so the produced assignment is valid by construction.
-A placement costs 1 relocation when one endpoint already lives in the target
-core and 2 otherwise; cores without two free slots are forbidden targets.
-Optionally, costs are reduced by the attraction each operation feels toward
-a core's remaining residents, weighted by how soon they interact.
+For the transition into slice t+1, every pair of the slice (from the slicing's
+``pairs`` arrays, which every mapping pass reads) whose endpoints sit in
+different cores becomes an operation to place. Both endpoints of an operation
+always land in the same core, so the produced assignment is valid by
+construction. A placement costs 1 relocation when one endpoint already lives
+in the target core and 2 otherwise; cores without two free slots are forbidden
+targets. Optionally, costs are reduced by the attraction each operation feels
+toward a core's remaining residents, weighted by how soon they interact.
 
 Each transition's placement problem is built once, after parity repair: a
 base row per operation, its look-ahead row, and a qubit-by-core membership
@@ -36,7 +36,7 @@ import numpy as np
 
 from .assignment import Architecture, Assignment, AssignmentPath, initial_assignment
 from .assignment import check_pair_slots, place_pairs, unchecked_assignment
-from .circuit import Circuit, TimeslicedCircuit, pair_arrays, timeslice
+from .circuit import Circuit, TimeslicedCircuit, timeslice
 from .hungarian import FORBIDDEN, solve
 from .lookahead import DEFAULT_HORIZON, window_matrix
 
@@ -166,13 +166,14 @@ def hqa_step(
     afresh. Either row holds only the plain ints of the incoming assignment
     and of ``solve``, so the result is built by ``unchecked_assignment``.
     """
-    pa, pb, offsets = pair_arrays(sliced)
+    pa, pb, offsets = sliced.pairs
     lo, hi = offsets[t + 1], offsets[t + 2]
     a, b = pa[lo:hi].tolist(), pb[lo:hi].tolist()
     ops = collect_unfeasible(prev, a, b)
     if not ops:
         return prev
-    one_qubit = {g.qubits[0] for g in sliced.slices[t + 1] if len(g.qubits) == 1}
+    singles, single_offsets = sliced.singles
+    one_qubit = set(singles[single_offsets[t + 1]:single_offsets[t + 2]].tolist())
     ops = parity_fix(ops, prev, a, b, one_qubit, arch.num_cores)
 
     num_cores = arch.num_cores
@@ -268,7 +269,7 @@ def map_circuit(
     sliced = timeslice(circuit)
     current = initial_assignment(circuit.num_qubits, arch)
     assignments: list[Assignment] = []
-    check_pair_slots(pair_arrays(sliced)[2], arch)
+    check_pair_slots(sliced.pairs[2], arch)
     for t in range(-1, sliced.num_slices - 1):
         current = hqa_step(current, sliced, t, arch, config)
         assignments.append(current)

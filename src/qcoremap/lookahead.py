@@ -15,8 +15,8 @@ DEFAULT_HORIZON = 32  # 2**-32 is far below any decision threshold
 
 
 def window_matrix(num_qubits, pa, pb, offsets, t, horizon) -> np.ndarray:
-    """Finite look-ahead weights anchored at slice t, over the pairs of
-    ``circuit.pair_arrays``.
+    """Finite look-ahead weights anchored at slice t, over a slicing's
+    ``pairs`` arrays ``(pa, pb, offsets)``.
 
     One pass: each pair in slices (t, t + horizon] adds its decay 2**-d to
     both (a, b) and (b, a). The keys are interleaved pair by pair, so every

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assignment import Architecture
-from .circuit import Circuit, pair_arrays, timeslice
+from .circuit import Circuit, timeslice
 
 # Cost of an invalid cell; one transition adds at most 1 to it before the
 # minimum, so int32 cannot overflow.
@@ -84,7 +84,7 @@ def minimum_communications(
     if k**n > max_states:
         raise ValueError(f"{k}**{n} core vectors exceed the oracle budget of {max_states}")
     fits = _capacity_mask(arch, n)
-    pa, pb, offsets = pair_arrays(sliced)
+    pa, pb, offsets = sliced.pairs
     low, high = np.minimum(pa, pb).tolist(), np.maximum(pa, pb).tolist()
     cost = np.zeros(k**n, dtype=np.int32)
     for t in range(sliced.num_slices):

@@ -10,13 +10,13 @@ Most lines of a generated program are one canonical gate statement,
 ``name[(p,...)] reg[i][,reg[j]];``, and these take a fast lane: when such a
 line starts no earlier statement's continuation, names a known gate with its
 arity, a declared register, in-range distinct indices, and parameters that
-are plain decimal numerals, it becomes a Gate through ``_unchecked_gate``,
-with ``float`` for each parameter and none of the checks the lane has
-already made: the gate's three slots are written and nothing else. Every other
-line (headers, declarations, comments, several statements on a line, a
-statement split across lines, ``pi`` expressions, and every error) goes
-through the statement path, so error messages, lines and columns do not
-depend on the lane.
+are plain decimal numerals of finite value, it becomes a Gate through
+``_unchecked_gate``, with ``float`` for each parameter and none of the checks
+the lane has already made: the gate's three slots are written and nothing
+else. Every other line (headers, declarations, comments, several statements
+on a line, a statement split across lines, ``pi`` expressions, and every
+error) goes through the statement path, so error messages, lines and columns
+do not depend on the lane.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class QasmError(ValueError):
 
 
 class _ExprParser:
-    """Tiny arithmetic evaluator for gate parameters: numbers, pi, + - * / and parens."""
+    """Tiny arithmetic evaluator for gate parameters: numbers, pi, + - * / and
+    parens. A zero divisor or a value that is not finite raises ValueError."""
 
     _TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)|(pi)|([-+*/()]))")
 
@@ -96,6 +97,8 @@ class _ExprParser:
         value = self._sum()
         if self._peek() is not None:
             raise ValueError("trailing tokens in parameter expression")
+        if not math.isfinite(value):
+            raise ValueError(f"parameter expression evaluates to {value!r}, which is not finite")
         return value
 
     def _sum(self) -> float:
@@ -111,6 +114,8 @@ class _ExprParser:
         while self._peek() in ("*", "/"):
             op = self._next()
             rhs = self._atom()
+            if op == "/" and rhs == 0:
+                raise ValueError("division by zero in parameter expression")
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -196,7 +201,7 @@ def parse_qasm(text: str) -> Circuit:
                 params = tuple(map(float, raw_params.split(",")))
             except ValueError:
                 return False
-            if len(params) != spec[1]:
+            if len(params) != spec[1] or not all(map(math.isfinite, params)):
                 return False
         register = qregs.get(reg)
         i = int(idx)

@@ -1,10 +1,11 @@
 """Reference OpenQASM 2.0 parser: statement by statement, no fast lane.
 
 This is the former ``qcoremap.qasm.parse_qasm`` with its statement splitter
-and parameter evaluator, kept unchanged as the reference that
-``tests/test_qasm.py`` compares the parser against: the same ``Circuit`` on
-every input it accepts, and a ``QasmError`` with the same message, line and
-column on every input it rejects.
+and parameter evaluator, kept as the reference that ``tests/test_qasm.py``
+compares the parser against: the same ``Circuit`` on every input it accepts,
+and a ``QasmError`` with the same message, line and column on every input it
+rejects. Like the parser's, its evaluator rejects division by zero and values
+that are not finite.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ _ARG_RE = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(?P<idx>\d+)\s
 
 
 class _ExprParser:
-    """Tiny arithmetic evaluator for gate parameters: numbers, pi, + - * / and parens."""
+    """Tiny arithmetic evaluator for gate parameters: numbers, pi, + - * / and
+    parens. A zero divisor or a value that is not finite raises ValueError."""
 
     _TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)|(pi)|([-+*/()]))")
 
@@ -62,6 +64,8 @@ class _ExprParser:
         value = self._sum()
         if self._peek() is not None:
             raise ValueError("trailing tokens in parameter expression")
+        if not math.isfinite(value):
+            raise ValueError(f"parameter expression evaluates to {value!r}, which is not finite")
         return value
 
     def _sum(self) -> float:
@@ -77,6 +81,8 @@ class _ExprParser:
         while self._peek() in ("*", "/"):
             op = self._next()
             rhs = self._atom()
+            if op == "/" and rhs == 0:
+                raise ValueError("division by zero in parameter expression")
             value = value * rhs if op == "*" else value / rhs
         return value
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from qcoremap.assignment import Assignment
-from qcoremap.circuit import TimeslicedCircuit, pair_arrays
+from qcoremap.circuit import TimeslicedCircuit
 from qcoremap.hqa import UnfeasibleOp
 from qcoremap.hungarian import FORBIDDEN
 from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
@@ -35,7 +35,7 @@ def attraction_qubit(
     ``residency`` maps each qubit to its current core, with LIFTED (-1) for
     qubits pulled into the unassigned pool; lifted qubits exert no attraction.
     """
-    pa, pb, offsets = pair_arrays(sliced)
+    pa, pb, offsets = sliced.pairs
     weights = window_matrix(sliced.num_qubits, pa, pb, offsets, t, horizon)
     total = 0.0
     for q, core in enumerate(residency):

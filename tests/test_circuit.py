@@ -1,11 +1,13 @@
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 
-from qcoremap import Circuit, Gate, gen_ghz, timeslice
-from qcoremap.circuit import _unchecked_gate, pair_arrays
+from qcoremap import BenchmarkSpec, Circuit, Gate, gen_ghz, gen_qft, timeslice
+from qcoremap import circuit as circuit_module
+from qcoremap.circuit import _unchecked_gate
 
 from conftest import circuits
 
@@ -28,9 +30,13 @@ class TestGateInvariants:
             Gate("ccx", (0, 1, 2))
 
     def test_kind_matches_arity(self):
-        # The pair arrays hold the two-qubit gates and only those.
-        a, b, offsets = pair_arrays(timeslice(Circuit(3, (h(0), cx(1, 2), h(1)))))
+        # The pair arrays hold the two-qubit gates and only those; the
+        # single arrays hold the one-qubit gates.
+        sliced = timeslice(Circuit(3, (h(0), cx(1, 2), h(1))))
+        a, b, offsets = sliced.pairs
         assert (a.tolist(), b.tolist(), offsets.tolist()) == ([1], [2], [0, 1, 1])
+        q, single_offsets = sliced.singles
+        assert (q.tolist(), single_offsets.tolist()) == ([0, 1], [0, 1, 2])
 
     def test_gate_index_out_of_range(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -150,3 +156,84 @@ class TestSliceCache:
         assert restored == circuit
         assert timeslice(restored) == timeslice(Circuit(5, circuit.gates))
 
+
+def flattened(sliced):
+    """The slicing's pair and single arrays as lists, rebuilt from its gates
+    slice by slice in gate order."""
+    a, b, q = [], [], []
+    pair_offsets, single_offsets = [0], [0]
+    for gates in sliced.slices:
+        for g in gates:
+            if len(g.qubits) == 2:
+                a.append(g.qubits[0])
+                b.append(g.qubits[1])
+            else:
+                q.append(g.qubits[0])
+        pair_offsets.append(len(a))
+        single_offsets.append(len(q))
+    return (a, b, pair_offsets), (q, single_offsets)
+
+
+def as_lists(sliced):
+    return tuple(x.tolist() for x in sliced.pairs), tuple(x.tolist() for x in sliced.singles)
+
+
+class TestSliceArrays:
+    @pytest.mark.parametrize("family", ["ghz", "cuccaro", "qft", "quantum_volume", "grover", "random"])
+    def test_every_generator_matches_its_slices(self, family):
+        spec = BenchmarkSpec(
+            family,
+            24,
+            depth=4 if family == "quantum_volume" else None,
+            cycles=4 if family == "random" else None,
+            density=0.5 if family == "random" else None,
+            seed=7 if family in ("quantum_volume", "random") else None,
+        )
+        sliced = timeslice(spec.build())
+        assert as_lists(sliced) == flattened(sliced)
+        for array in (*sliced.pairs, *sliced.singles):
+            assert array.dtype == np.int64
+
+    @given(circuits(max_qubits=10, max_gates=60))
+    def test_random_gate_lists_match_their_slices(self, circuit):
+        sliced = timeslice(circuit)
+        assert as_lists(sliced) == flattened(sliced)
+
+    def test_one_read_only_flattening_per_circuit(self, monkeypatch):
+        calls = []
+        flatten = circuit_module._flatten
+        monkeypatch.setattr(circuit_module, "_flatten", lambda *a: calls.append(1) or flatten(*a))
+        circuit = Circuit(4, (cx(0, 1), h(2), cx(1, 3), cx(0, 2)))
+        sliced = timeslice(circuit)
+        assert timeslice(circuit).pairs is sliced.pairs
+        assert len(calls) == 2  # the pairs and the singles, once each
+        for array in (*sliced.pairs, *sliced.singles):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        fresh = timeslice(Circuit(4, circuit.gates))
+        assert fresh.pairs is not sliced.pairs
+        assert as_lists(fresh) == as_lists(sliced)
+        assert as_lists(sliced) == (([0, 1, 0], [1, 3, 2], [0, 1, 3]), ([2], [0, 1, 1]))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickled_arrays_stay_read_only(self, protocol):
+        circuit = gen_qft(6)
+        sliced = timeslice(circuit)
+        for copy in (pickle.loads(pickle.dumps(circuit, protocol)), pickle.loads(pickle.dumps(sliced, protocol))):
+            copied = timeslice(copy) if isinstance(copy, Circuit) else copy
+            assert copied is not sliced
+            for array in (*copied.pairs, *copied.singles):
+                assert not array.flags.writeable
+            assert as_lists(copied) == as_lists(sliced)
+            assert copied == sliced and hash(copied) == hash(sliced) and repr(copied) == repr(sliced)
+
+    def test_equality_hash_and_repr_ignore_the_arrays(self):
+        # Arrays of two or more entries would make == ambiguous and hash
+        # raise, so two slicings with distinct arrays compare only when the
+        # arrays are left out.
+        gates = (cx(0, 1), cx(2, 3), h(4), h(5), cx(1, 2))
+        sliced, plain = timeslice(Circuit(6, gates)), timeslice(Circuit(6, gates))
+        assert sliced.pairs[0] is not plain.pairs[0] and len(sliced.pairs[0]) == 3
+        assert sliced == plain and hash(sliced) == hash(plain) and repr(sliced) == repr(plain)
+        assert "pairs" not in repr(sliced) and "singles" not in repr(sliced)

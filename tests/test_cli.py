@@ -47,9 +47,22 @@ class TestMap:
         assert metrics["communications"] >= 0
         assert metrics["num_slices"] == 8
 
-    def test_capacity_error_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["map", "oracle"])
+    def test_too_many_qubits_exits_one(self, tmp_path, capsys, command):
+        # 8 qubits on 2 cores of 2: the architecture cannot hold the circuit,
+        # which map and oracle both report as a failure, not a usage error.
         qasm = self._qasm(tmp_path)
-        assert main(["map", str(qasm), "--cores", "2", "--capacity", "2"]) == 2
+        capsys.readouterr()
+        assert main([command, str(qasm), "--cores", "2", "--capacity", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("expression", ["1/0", "pi/0"])
+    def test_division_by_zero_is_usage_error(self, tmp_path, capsys, expression):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text(f"qreg q[2]; rz({expression}) q[0]; cx q[0],q[1];\n")
+        assert main(["map", str(bad), "--cores", "2", "--capacity", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 1, column 12: division by zero in parameter expression\n"
 
     def test_bad_qasm_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"

@@ -29,7 +29,6 @@ from qcoremap import (
 )
 from qcoremap import fgp
 from qcoremap.fgp import _substitute
-from qcoremap.circuit import pair_arrays
 from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
 from conftest import circuits
@@ -315,7 +314,7 @@ def reference_fgp_path(circuit, arch):
     num_q = circuit.num_qubits
     padded = arch.total_capacity
     sliced = timeslice(circuit)
-    pa, pb, offsets = pair_arrays(sliced)
+    pa, pb, offsets = sliced.pairs
     part = np.asarray(initial_assignment(padded, arch).core_of)
     path = []
     for t, gates in enumerate(sliced.slices):

@@ -14,7 +14,6 @@ from qcoremap import (
     gen_random,
     timeslice,
 )
-from qcoremap.circuit import pair_arrays
 from qcoremap.generators import STOCHASTIC_FAMILIES
 
 # Hand-enumerated once from the construction: a 1-bit adder is
@@ -24,7 +23,7 @@ CUCCARO_PER_BIT_TWO_QUBIT_GATES = 16  # one MAJ + one UMA
 
 
 def pair_count(circuit):
-    return len(pair_arrays(timeslice(circuit))[0])
+    return len(timeslice(circuit).pairs[0])
 
 
 class TestGhz:

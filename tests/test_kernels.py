@@ -20,7 +20,6 @@ from fgp_reference import roee_refine_loops
 from qcoremap import fgp, hqa
 from qcoremap.fgp import fgp_map_circuit, roee_refine
 from qcoremap.hungarian import TOL, _jv_rectangular, _lex_canonical, solve
-from qcoremap.circuit import pair_arrays
 from qcoremap.lookahead import INFINITE, window_matrix
 from qcoremap import (
     Architecture,
@@ -311,7 +310,7 @@ def test_window_matrix_matches_scalar_definition(circuit, monkeypatch):
     monkeypatch.setattr(
         scalar_reference, "interacting_pairs", lambda gates: pair_sets[id(gates)]
     )
-    pa, pb, offsets = pair_arrays(sliced)
+    pa, pb, offsets = sliced.pairs
     for horizon in (1, 4, 32):
         for t in range(-1, sliced.num_slices):
             window = window_matrix(sliced.num_qubits, pa, pb, offsets, t, horizon)

@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from qcoremap import INFINITE, Architecture, Circuit, Gate, fgp_map_circuit, gen_qft, timeslice
 from qcoremap import fgp
-from qcoremap.circuit import pair_arrays
 from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
 from conftest import circuits
@@ -38,7 +35,7 @@ def chain(n, pairs):
 
 
 def window(sliced, t, horizon=DEFAULT_HORIZON):
-    return window_matrix(sliced.num_qubits, *pair_arrays(sliced), t, horizon)
+    return window_matrix(sliced.num_qubits, *sliced.pairs, t, horizon)
 
 
 def refined_graphs(circuit, arch, monkeypatch):
@@ -186,44 +183,3 @@ class TestProperties:
             for module, entry in ((hqa, map_circuit), (fgp, fgp_map_circuit)):
                 bounded = run_at(entry, module, 32, circuit, arch)
                 assert bounded == run_at(entry, module, 10_000, circuit, arch)
-
-
-class TestPairArraysCache:
-    def test_one_read_only_flattening_per_slicing(self):
-        circuit = Circuit(4, (Gate("cx", (0, 1)), Gate("h", (2,)), Gate("cx", (1, 3)), Gate("cx", (0, 2))))
-        sliced = timeslice(circuit)
-        pairs = pair_arrays(sliced)
-        assert pair_arrays(sliced) is pairs
-        assert sliced.__dict__["_pairs"] is pairs
-        for array in pairs:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
-        fresh = pair_arrays(timeslice(Circuit(4, circuit.gates)))
-        assert fresh is not pairs
-        assert all(np.array_equal(x, y) for x, y in zip(fresh, pairs))
-        assert [x.tolist() for x in pairs] == [[0, 1, 0], [1, 3, 2], [0, 1, 3]]
-
-    def test_pickled_slicing_flattens_read_only_arrays_afresh(self):
-        circuit = gen_qft(6)
-        sliced = timeslice(circuit)
-        pairs = pair_arrays(sliced)
-        for copy in (pickle.loads(pickle.dumps(circuit)), pickle.loads(pickle.dumps(sliced))):
-            copied = timeslice(copy) if isinstance(copy, Circuit) else copy
-            assert copied is not sliced
-            assert "_pairs" not in copied.__dict__
-            copied_pairs = pair_arrays(copied)
-            for array in copied_pairs:
-                assert not array.flags.writeable
-            fresh = pair_arrays(timeslice(Circuit(6, circuit.gates)))
-            assert all(np.array_equal(x, y) for x, y in zip(copied_pairs, fresh))
-            assert all(np.array_equal(x, y) for x, y in zip(copied_pairs, pairs))
-            assert copied == sliced and hash(copied) == hash(sliced) and repr(copied) == repr(sliced)
-        assert sliced.__dict__["_pairs"] is pairs
-
-    def test_cache_leaves_slicing_equality_alone(self):
-        circuit = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
-        sliced = timeslice(circuit)
-        plain = timeslice(Circuit(3, circuit.gates))
-        pair_arrays(sliced)
-        assert sliced == plain and hash(sliced) == hash(plain) and repr(sliced) == repr(plain)

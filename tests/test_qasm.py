@@ -89,6 +89,28 @@ class TestParse:
         assert circuit.gates[1].params == (-math.pi / 4,)
         assert circuit.gates[2].params == (0.0, math.pi)
 
+    @pytest.mark.parametrize("expression", ["1/0", "pi/0", "1/-0.0"])
+    def test_division_by_zero_reports_line(self, expression):
+        with pytest.raises(QasmError, match="division by zero") as err:
+            parse_qasm(f"qreg q[2];\nh q[1];\n  rz({expression}) q[0];")
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    @pytest.mark.parametrize("numeral", ["1e999", "-1e999", "0,1e999,0"])
+    def test_fast_lane_rejects_non_finite(self, numeral, monkeypatch):
+        # A plain numeral that float() reads as +-inf leaves the fast lane,
+        # and the statement path rejects it at its line.
+        monkeypatch.setattr(qasm_module, "_unchecked_gate", None)
+        gate = "u3" if "," in numeral else "rz"
+        with pytest.raises(QasmError, match="not finite") as err:
+            parse_qasm(f"qreg q[1];\n{gate}({numeral}) q[0];")
+        assert (err.value.line, err.value.column) == (2, 1)
+
+    @pytest.mark.parametrize("expression", ["1e999-1e999", "1e308*10", "-pi*1e308"])
+    def test_statement_path_rejects_non_finite(self, expression):
+        with pytest.raises(QasmError, match="not finite") as err:
+            parse_qasm(f"qreg q[1];\nh q[0];\nrz({expression}) q[0];")
+        assert (err.value.line, err.value.column) == (3, 1)
+
     def test_param_count_enforced(self):
         with pytest.raises(QasmError, match="expects 3 parameter"):
             parse_qasm("qreg q[1]; u3(1.0) q[0];")
@@ -261,6 +283,9 @@ class TestAgreesWithReference:
             "qreg q[2]; h q[0];\nh q[1];",
             "qreg q[2];\nrx(1//2) q[0];\nh q[0];",
             "qreg q[2];\nrx(1/0) q[0];",
+            "qreg q[2];\nrz(pi/0) q[0];\nh q[0];",
+            "qreg q[2];\nrz(1e999) q[0];",
+            "qreg q[2];\nrz(1e999-1e999) q[0];",
             "qreg q[2];\nrx(--1) q[0];\nrx(1.e5) q[1];\nrx(.5e-3) q[1];",
             "qreg q[2];\ncx() q[0],q[1];\nh() q[0];",
             "qreg q[2];\nh q[01];\ncx q[1],q[1];",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
+from itertools import chain, islice, repeat
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +44,9 @@ class Architecture:
 
     core_capacities overrides the uniform capacity when set; the CLI only
     exposes the uniform form. The mappers, checks and oracle read only
-    ``capacities``, so with core_capacities set, ``capacity`` is just the
-    label written to paths and run records.
+    ``capacities``; ``capacity``, the label written to paths and run
+    records, is always the largest core's capacity, so with core_capacities
+    set it must equal their maximum.
     """
 
     num_cores: int
@@ -62,6 +64,8 @@ class Architecture:
                 raise ValueError("core_capacities length must equal num_cores")
             if any(c < 1 for c in self.core_capacities):
                 raise ValueError("every core capacity must be positive")
+            if self.capacity != max(self.core_capacities):
+                raise ValueError("capacity must equal the largest core capacity")
 
     @property
     def capacities(self) -> tuple[int, ...]:
@@ -91,23 +95,15 @@ def unchecked_assignment(core_of: tuple[int, ...]) -> Assignment:
 
 
 def initial_assignment(num_qubits: int, arch: Architecture) -> Assignment:
-    """Block layout: fill cores in index order up to capacity."""
+    """Block layout: fill cores in index order up to capacity. This is the one
+    source of CapacityError, raised in O(num_cores) before any per-qubit work."""
     if num_qubits > arch.total_capacity:
         raise CapacityError(
             f"{num_qubits} qubits exceed total capacity {arch.total_capacity} "
             f"({arch.num_cores} cores)"
         )
-    core_of = []
-    core = 0
-    used = 0
-    caps = arch.capacities
-    for _ in range(num_qubits):
-        while used >= caps[core]:
-            core += 1
-            used = 0
-        core_of.append(core)
-        used += 1
-    return Assignment(tuple(core_of))
+    slots = chain.from_iterable(map(repeat, range(arch.num_cores), arch.capacities))
+    return unchecked_assignment(tuple(islice(slots, num_qubits)))
 
 
 def check_pair_slots(offsets: np.ndarray, arch: Architecture) -> None:

@@ -200,8 +200,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     circuit = parse_qasm(_read_qasm(args.qasm))
     arch = Architecture(args.cores, args.capacity)
-    sliced = timeslice(circuit)
     optimum = minimum_communications(circuit, arch, max_states=args.max_states)
+    sliced = timeslice(circuit)
     sys.stdout.write(
         json.dumps(
             {

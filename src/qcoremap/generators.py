@@ -174,13 +174,19 @@ def gen_random(n: int, cycles: int, p: float, seed: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+# The one family that reads each knob of BenchmarkSpec.
+_KNOB_FAMILY = {"depth": "quantum_volume", "cycles": "random", "density": "random",
+                "iterations": "grover"}
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """One benchmark instantiation: family, size, and family-specific knobs.
 
     Unset knobs get family defaults at build time: quantum_volume depth and
-    random cycles default to the qubit count, grover iterations to 1.
-    The seed is required for stochastic families and ignored by the rest.
+    random cycles default to the qubit count, grover iterations to 1. A knob
+    set on a family that does not take it raises ValueError. The seed is
+    required for stochastic families and ignored by the rest.
     """
 
     family: str
@@ -194,6 +200,9 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown benchmark family '{self.family}'")
+        for knob, family in _KNOB_FAMILY.items():
+            if getattr(self, knob) is not None and self.family != family:
+                raise ValueError(f"{knob} applies only to {family}, not to '{self.family}'")
         if self.density is not None and not 0.0 <= self.density <= 1.0:
             raise ValueError(f"density must be in [0, 1], got {self.density}")
         if self.family in STOCHASTIC_FAMILIES and self.seed is None:

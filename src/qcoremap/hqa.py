@@ -262,12 +262,12 @@ def map_circuit(
 
     The slice-0 repair of the block layout is the free initial placement;
     relocation counting starts at the transition into slice 1. Raises
-    CapacityError when the qubits exceed the total capacity and
+    CapacityError, before slicing, when the qubits exceed the total capacity and
     MappingInfeasibleError when a slice has more two-qubit gates than
     ``sum_j floor(c_j / 2)``; every other input is mapped.
     """
-    sliced = timeslice(circuit)
     current = initial_assignment(circuit.num_qubits, arch)
+    sliced = timeslice(circuit)
     assignments: list[Assignment] = []
     check_pair_slots(sliced.pairs[2], arch)
     for t in range(-1, sliced.num_slices - 1):

@@ -72,13 +72,14 @@ def minimum_communications(
     """True minimum total relocations over all valid assignment paths.
 
     The slice-0 assignment is free, matching the mappers' accounting.
-    ``max_states`` bounds ``num_cores ** num_qubits``, the grid size, and a
-    larger instance raises ``ValueError``.
+    A circuit the cores cannot hold raises OracleInfeasibleError before it
+    is sliced. ``max_states`` bounds ``num_cores ** num_qubits``, the grid
+    size, and a larger instance raises ``ValueError``.
     """
     n, k = circuit.num_qubits, arch.num_cores
-    sliced = timeslice(circuit)
     if arch.total_capacity < n:
         raise OracleInfeasibleError("architecture cannot hold the circuit")
+    sliced = timeslice(circuit)
     if sliced.num_slices == 0:
         return 0
     if k**n > max_states:

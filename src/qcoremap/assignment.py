@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import operator
-from itertools import chain, islice, repeat
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Sequence
 
 import numpy as np

@@ -191,34 +191,37 @@ def count_communications(path: AssignmentPath | Sequence[Assignment]) -> int:
     return total
 
 
-def validate_path(path: AssignmentPath, sliced_slices, arch: Architecture) -> None:
+def validate_path(path: AssignmentPath, slicing, arch: Architecture) -> None:
     """Raise MappingValidationError, naming the slice, unless the path has one
-    assignment per slice and every slice's row places exactly the path's
-    qubits on cores ``0..num_cores-1``, fills no core past its capacity, and
-    puts both qubits of each of the slice's two-qubit gates on one core.
+    assignment per slice and every slice's row places exactly the circuit's
+    qubits (the slicing's ``num_qubits``, which the path must also have) on
+    cores ``0..num_cores-1``, fills no core past its capacity, and puts both
+    qubits of each of the slice's two-qubit gates on one core.
+
+    ``slicing`` is a ``TimeslicedCircuit`` or its ``slices``; both carry
+    ``num_qubits`` and the ``pairs`` arrays, which are all this reads.
 
     This is the one validity check. A row equal to the previous slice's has
     passed the checks that depend on the row alone, so for it only the
     co-location of the new slice's pairs is checked.
-
-    Every gate's qubits must lie within the row, so a path narrower than the
-    qubits its gates touch is rejected. ``sliced_slices`` carries no qubit
-    count, though, so a missing qubit that no gate touches goes unseen.
     """
-    if path.num_slices != len(sliced_slices):
+    num_qubits = slicing.num_qubits
+    pa, pb, offsets = slicing.pairs
+    if path.num_slices != len(offsets) - 1:
         raise MappingValidationError(
-            f"path has {path.num_slices} assignments for {len(sliced_slices)} slices"
+            f"path has {path.num_slices} assignments for {len(offsets) - 1} slices"
         )
     cores = set(range(arch.num_cores))
     capacities = arch.capacities
+    a, b, bounds = pa.tolist(), pb.tolist(), offsets.tolist()
     checked = None
-    for t, (assignment, gates) in enumerate(zip(path.assignments, sliced_slices)):
+    for t, assignment in enumerate(path.assignments):
         core_of = assignment.core_of
         if core_of is not checked and core_of != checked:
-            if len(core_of) != path.num_qubits:
+            if len(core_of) != num_qubits or len(core_of) != path.num_qubits:
                 raise MappingValidationError(
                     f"assignment for slice {t} places {len(core_of)} qubits, "
-                    f"path has {path.num_qubits}"
+                    f"path has {path.num_qubits} and the circuit {num_qubits}"
                 )
             if not cores.issuperset(core_of):
                 raise MappingValidationError(
@@ -233,17 +236,8 @@ def validate_path(path: AssignmentPath, sliced_slices, arch: Architecture) -> No
                     f"assignment for slice {t} is invalid: a core holds more than its capacity"
                 )
             checked = core_of
-        try:
-            for g in gates:
-                # qubits[-1] is qubits[0] for a one-qubit gate, which is then
-                # only indexed, so that a qubit beyond the row is caught.
-                qubits = g.qubits
-                if core_of[qubits[0]] != core_of[qubits[-1]]:
-                    raise MappingValidationError(
-                        f"assignment for slice {t} is invalid: it splits the pair {qubits}"
-                    )
-        except IndexError:
-            raise MappingValidationError(
-                f"assignment for slice {t} places {len(core_of)} qubits, "
-                f"but the slice acts on a qubit beyond them"
-            ) from None
+        for x, y in zip(a[bounds[t]:bounds[t + 1]], b[bounds[t]:bounds[t + 1]]):
+            if core_of[x] != core_of[y]:
+                raise MappingValidationError(
+                    f"assignment for slice {t} is invalid: it splits the pair {(x, y)}"
+                )

@@ -98,7 +98,7 @@ def _run_mapper(circuit: Circuit, arch: Architecture, mapper: str, use_attractio
     else:
         path = fgp_map_circuit(circuit, arch)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    validate_path(path, sliced.slices, arch)
+    validate_path(path, sliced, arch)
     return path, elapsed_ms, {
         "num_slices": sliced.num_slices,
         "num_2q_gates": len(sliced.pairs[0]),

@@ -72,18 +72,21 @@ def minimum_communications(
     """True minimum total relocations over all valid assignment paths.
 
     The slice-0 assignment is free, matching the mappers' accounting.
-    A circuit the cores cannot hold raises OracleInfeasibleError before it
-    is sliced. ``max_states`` bounds ``num_cores ** num_qubits``, the grid
-    size, and a larger instance raises ``ValueError``.
+    Before the circuit is sliced: a circuit the cores cannot hold raises
+    OracleInfeasibleError, a circuit without gates (and so without slices)
+    costs 0, and a grid of more than ``max_states`` cells,
+    ``num_cores ** num_qubits``, raises ``ValueError``. For two or more
+    cores a qubit count beyond ``max_states.bit_length()`` settles that
+    last question without computing the power.
     """
     n, k = circuit.num_qubits, arch.num_cores
     if arch.total_capacity < n:
         raise OracleInfeasibleError("architecture cannot hold the circuit")
-    sliced = timeslice(circuit)
-    if sliced.num_slices == 0:
+    if not circuit.qubits:
         return 0
-    if k**n > max_states:
+    if (k > 1 and n > max_states.bit_length()) or k**n > max_states:
         raise ValueError(f"{k}**{n} core vectors exceed the oracle budget of {max_states}")
+    sliced = timeslice(circuit)
     fits = _capacity_mask(arch, n)
     pa, pb, offsets = sliced.pairs
     low, high = np.minimum(pa, pb).tolist(), np.maximum(pa, pb).tolist()

@@ -6,35 +6,39 @@ u3), two-qubit gates (cx cz cp crz swap), and ``measure``/``barrier`` (parsed
 and dropped). Multiple quantum registers are concatenated into one flat index
 space in declaration order. No gate definitions, conditionals, or loops.
 
-Most lines of a generated program are one canonical gate statement,
-``name[(p,...)] reg[i][,reg[j]];``, and these take a fast lane: when such a
-line starts no earlier statement's continuation, names a known gate with its
-arity, a declared register, in-range distinct indices, and parameters that
-are plain decimal numerals of finite value, it becomes a Gate through
-``_unchecked_gate``, with ``float`` for each parameter and none of the checks
-the lane has already made: the gate's three slots are written and nothing
-else. Every other line (headers, declarations, comments, several statements
-on a line, a statement split across lines, ``pi`` expressions, and every
-error) goes through the statement path, so error messages, lines and columns
-do not depend on the lane.
+The parser builds a circuit's columns, not ``Gate`` objects. Most lines of a
+generated program are one canonical gate statement,
+``name[(p,...)] reg[i][,reg[j]];``, naming a supported gate. The text is read
+in pieces of whole lines, and one regex split of a piece gives a row per line.
+Each run of canonical gate lines that starts no earlier statement's
+continuation is checked as columns: every gate's arity and parameter count,
+every parameter a plain decimal numeral of finite value, every register
+declared and index in range, and the two qubits of a pair distinct. A run
+that passes is appended to the columns, with ``float`` for each parameter. A
+run that fails any check, and every other line (headers, declarations,
+``barrier``, comments, several statements on a line, a statement split
+across lines, ``pi`` expressions), goes line by line through the statement
+path, so every error message, line and column comes from the statement path.
+Lines are numbered as ``str.splitlines`` splits them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+from itertools import chain, compress, repeat
 
-from .circuit import Circuit, Gate, _unchecked_circuit, _unchecked_gate
+from .circuit import Circuit, _from_columns
 
 ONE_QUBIT_GATES = {
     "h": 0, "x": 0, "y": 0, "z": 0, "s": 0, "sdg": 0, "t": 0, "tdg": 0,
     "rx": 1, "ry": 1, "rz": 1, "u1": 1, "u2": 2, "u3": 3,
 }
 TWO_QUBIT_GATES = {"cx": 0, "cz": 0, "cp": 1, "crz": 1, "swap": 0}
-_ARITY_AND_PARAMS = {
-    **{name: (1, n) for name, n in ONE_QUBIT_GATES.items()},
-    **{name: (2, n) for name, n in TWO_QUBIT_GATES.items()},
-}
+_PARAM_COUNTS = {**ONE_QUBIT_GATES, **TWO_QUBIT_GATES}
+_ARITY = {**dict.fromkeys(ONE_QUBIT_GATES, 1), **dict.fromkeys(TWO_QUBIT_GATES, 2)}
+_LABELS = {name: name for name in _ARITY}  # one string object per label
 
 _QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -42,14 +46,24 @@ _STMT_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>[^()]*)$"
 )
 _ARG_RE = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(?P<idx>\d+)\s*\])?$")
-# A whole line holding one canonical gate statement and nothing after its ';'.
-# Over the parameter alphabet, the strings float() accepts are exactly the
-# signed decimal numerals, which _ExprParser evaluates to the same value; on
-# any other string float() raises and the line takes the statement path.
-_GATE_LINE = re.compile(
-    r"[ \t]*([a-z][a-z0-9]*)(?:\(([-+0-9.eE \t,]*)\))?[ \t]+"
-    r"([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\](?:,([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\])?;"
+# Split on this, a text gives five strings per '\n'-separated line: the
+# separator before it, then, for a line holding one gate statement in
+# canonical shape and nothing after its ';', the name, the parameter text
+# inside the parentheses (None without them) and the one or two operands
+# (None for a one-qubit gate); any other line gives four None. Over the
+# parameter alphabet, the strings float() accepts are exactly the signed
+# decimal numerals, which _ExprParser evaluates to the same value; on any
+# other string float() raises and the run takes the statement path.
+_OPERAND = r"[A-Za-z_][A-Za-z0-9_]*\[[0-9]+\]"
+_ROWS = re.compile(
+    rf"^(?:[ \t]*([a-z][a-z0-9]*)(?:\(([-+0-9.eE \t,]*)\))?[ \t]+"
+    rf"({_OPERAND})(?:,({_OPERAND}))?;|.*)$",
+    re.M,
 )
+# Characters in a piece of whole lines; only one piece's rows are held at once.
+_PIECE = 1 << 16
+# Line boundaries of str.splitlines other than '\n', which '^' and '$' miss.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class QasmError(ValueError):
@@ -135,100 +149,120 @@ class _ExprParser:
         raise ValueError(f"unexpected token {tok!r} in parameter expression")
 
 
-def _statements(text: str, gate_line):
-    """Yield (statement, line, column) with comments stripped; statements end at ';'.
+class _Program:
+    """Parse state: the registers, the gate columns, the text of a statement
+    that an earlier line left unfinished, and what the lane has read: each
+    parameter text's values and each operand's qubit. A register keeps its
+    place once declared, so an operand read once keeps its qubit."""
 
-    A line that starts no continuation is first offered to ``gate_line``;
-    when that returns True the line has been consumed and yields nothing.
-    """
-    pending = ""
-    pending_line = pending_col = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not pending and gate_line(raw):
-            continue
+    def __init__(self):
+        self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, width)
+        self.total = 0
+        self.labels: list[str] = []
+        self.qubits: list[tuple[int, ...]] = []
+        self.params: list[tuple[float, ...]] = []
+        self.pending = ""
+        self.pending_line = self.pending_col = 0
+        self.values: dict[str | None, tuple[float, ...]] = {None: ()}
+        self.index: dict[str | None, int | None] = {None: None}
+        self.singles: dict[tuple[int, None], tuple[int]] = {}  # (q, None) -> (q,)
+
+    def lines(self, text: str, first_line: int) -> None:
+        """Parse ``text``, whole lines of which the first is ``first_line``:
+        each run of canonical gate lines through the lane when it passes,
+        every other line through the statement path."""
+        lines = text.split("\n")
+        flat = _ROWS.split(text)
+        names, params, first, second = flat[1::5], flat[2::5], flat[3::5], flat[4::5]
+        start = 0
+        other = map(operator.not_, map(_ARITY.__contains__, names))
+        for stop in [*compress(range(len(names)), other), len(names)]:
+            # Rows start..stop-1 are canonical gate lines; row stop is not.
+            if start < stop and self.pending:
+                self.line(lines[start], first_line + start)  # completes the continuation
+                start += 1
+            run = (names[start:stop], params[start:stop], first[start:stop], second[start:stop])
+            if start < stop and not self.run(*run):
+                for i in range(start, stop):
+                    self.line(lines[i], first_line + i)
+            if stop < len(names):
+                self.line(lines[stop], first_line + stop)
+            start = stop + 1
+
+    def run(self, names, params, first, second) -> bool:
+        """Append a run of canonical gate lines, given as the columns of its
+        rows and each naming a supported gate, to the gate columns. False,
+        with nothing appended, when a line fails a check; the caller then
+        hands the run to the statement path. Gates that repeat a parameter
+        text share its tuple, and one-qubit gates on one qubit share theirs."""
+        values, index = self.values, self.index
+        try:
+            for text in set(params).difference(values):
+                value = tuple(map(float, text.split(",")))
+                if not all(map(math.isfinite, value)):
+                    return False
+                values[text] = value
+        except ValueError:
+            return False
+        for operand in set(first).union(second).difference(index):
+            reg, digits = operand[:-1].split("[")
+            register = self.qregs.get(reg)
+            i = int(digits)
+            if register is None or i >= register[1]:
+                return False
+            q = index[operand] = register[0] + i
+            self.singles[q, None] = (q,)
+        a = list(map(index.__getitem__, first))
+        b = list(map(index.__getitem__, second))
+        if any(map(operator.eq, a, b)):
+            return False
+        # A one-qubit gate's (q, None) becomes (q,); a pair is kept as it is.
+        qubits = list(map(self.singles.get, zip(a, b), zip(a, b)))
+        param_col = list(map(values.__getitem__, params))
+        if list(map(len, qubits)) != list(map(_ARITY.__getitem__, names)):
+            return False
+        if list(map(len, param_col)) != list(map(_PARAM_COUNTS.__getitem__, names)):
+            return False
+        self.labels.extend(map(_LABELS.__getitem__, names))
+        self.qubits.extend(qubits)
+        self.params.extend(param_col)
+        return True
+
+    def line(self, raw: str, lineno: int) -> None:
+        """Apply each statement of one line with comments stripped; a
+        statement ends at ';', and one left unfinished continues on the
+        next line."""
         line = raw.split("//", 1)[0]
         col = 1
         while line:
-            if not pending:
+            if not self.pending:
                 stripped = line.lstrip()
                 if not stripped:
                     break  # blank text starts no statement
-                pending_line = lineno
-                pending_col = col + (len(line) - len(stripped))
+                self.pending_line = lineno
+                self.pending_col = col + (len(line) - len(stripped))
                 line = stripped
-                col = pending_col
+                col = self.pending_col
             if ";" in line:
                 stmt, line = line.split(";", 1)
-                full = (pending + stmt).strip()
-                pending = ""
+                full = (self.pending + stmt).strip()
+                self.pending = ""
                 if full:
-                    yield full, pending_line, pending_col
+                    self.statement(full, self.pending_line, self.pending_col)
                 col += len(stmt) + 1
             else:
-                pending += line + " "
+                self.pending += line + " "
                 break
-    if pending.strip():
-        yield pending.strip(), pending_line, pending_col
 
-
-def parse_qasm(text: str) -> Circuit:
-    """Parse an OpenQASM 2.0 string into a :class:`Circuit`.
-
-    ``measure``, ``barrier``, and classical registers are accepted and dropped.
-    The version header is optional so that bare gate lists parse too.
-    """
-    qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, width)
-    cregs: set[str] = set()
-    total = 0
-    gates: list[Gate] = []
-
-    def gate_line(raw: str) -> bool:
-        """Append the gate of a canonical gate line; False leaves the line
-        to the statement path."""
-        m = _GATE_LINE.fullmatch(raw)
-        if m is None:
-            return False
-        name, raw_params, reg, idx, reg_b, idx_b = m.groups()
-        spec = _ARITY_AND_PARAMS.get(name)
-        if spec is None or (reg_b is None) != (spec[0] == 1):
-            return False
-        if raw_params is None:
-            if spec[1]:
-                return False
-            params: tuple[float, ...] = ()
-        else:
-            try:
-                params = tuple(map(float, raw_params.split(",")))
-            except ValueError:
-                return False
-            if len(params) != spec[1] or not all(map(math.isfinite, params)):
-                return False
-        register = qregs.get(reg)
-        i = int(idx)
-        if register is None or i >= register[1]:
-            return False
-        if reg_b is None:
-            qubits: tuple[int, ...] = (register[0] + i,)
-        else:
-            register_b = qregs.get(reg_b)
-            j = int(idx_b)
-            if register_b is None or j >= register_b[1]:
-                return False
-            qubits = (register[0] + i, register_b[0] + j)
-            if qubits[0] == qubits[1]:
-                return False
-        gates.append(_unchecked_gate(name, qubits, params))
-        return True
-
-    for stmt, line, col in _statements(text, gate_line):
+    def statement(self, stmt: str, line: int, col: int) -> None:
         head = stmt.split(None, 1)[0]
         if head == "OPENQASM":
             version = stmt[len("OPENQASM"):].strip()
             if version != "2.0":
                 raise QasmError(f"unsupported OpenQASM version {version!r}", line, col)
-            continue
+            return
         if head == "include":
-            continue
+            return
         if head in ("qreg", "creg"):
             m = _ARG_RE.match(stmt[len(head):].strip())
             if m is None or m.group("idx") is None:
@@ -237,15 +271,13 @@ def parse_qasm(text: str) -> Circuit:
             if width < 1:
                 raise QasmError(f"register '{name}' must have positive width", line, col)
             if head == "qreg":
-                if name in qregs:
+                if name in self.qregs:
                     raise QasmError(f"duplicate qreg '{name}'", line, col)
-                qregs[name] = (total, width)
-                total += width
-            else:
-                cregs.add(name)
-            continue
+                self.qregs[name] = (self.total, width)
+                self.total += width
+            return
         if head == "measure" or head == "barrier":
-            continue  # structural no-ops for mapping purposes
+            return  # structural no-ops for mapping purposes
         if head in ("if", "gate", "opaque", "reset"):
             raise QasmError(f"unsupported statement '{head}'", line, col)
 
@@ -287,29 +319,53 @@ def parse_qasm(text: str) -> Circuit:
             if am is None:
                 raise QasmError(f"malformed operand {arg!r}", line, col)
             reg = am.group("reg")
-            if reg not in qregs:
+            if reg not in self.qregs:
                 raise QasmError(f"unknown quantum register '{reg}'", line, col)
             if am.group("idx") is None:
                 raise QasmError("whole-register gate broadcast is not supported", line, col)
-            offset, width = qregs[reg]
+            offset, width = self.qregs[reg]
             idx = int(am.group("idx"))
             if idx >= width:
                 raise QasmError(f"index {idx} out of range for qreg '{reg}[{width}]'", line, col)
             qubits.append(offset + idx)
         if arity == 2 and qubits[0] == qubits[1]:
             raise QasmError(f"duplicate qubit in gate '{name}'", line, col)
-        gates.append(Gate(name, tuple(qubits), params))
+        self.labels.append(_LABELS[name])
+        self.qubits.append(tuple(qubits))
+        self.params.append(params)
 
-    if total == 0:
+
+def parse_qasm(text: str) -> Circuit:
+    """Parse an OpenQASM 2.0 string into a :class:`Circuit`.
+
+    ``measure``, ``barrier``, and classical registers are accepted and dropped.
+    The version header is optional so that bare gate lists parse too.
+    """
+    if any(map(text.__contains__, _OTHER_BREAKS)):
+        text = "\n".join(text.splitlines())
+    program = _Program()
+    start, first_line = 0, 1
+    while True:
+        end = text.find("\n", start + _PIECE)
+        piece = text[start:] if end < 0 else text[start:end]
+        program.lines(piece, first_line)
+        if end < 0:
+            break
+        start, first_line = end + 1, first_line + piece.count("\n") + 1
+    if program.pending.strip():
+        program.statement(program.pending.strip(), program.pending_line, program.pending_col)
+    if program.total == 0:
         raise QasmError("no qreg declared", 1, 1)
-    return _unchecked_circuit(total, tuple(gates))
+    return _from_columns(
+        program.total, tuple(program.labels), tuple(program.qubits), tuple(program.params)
+    )
 
 
 def serialize_qasm(circuit: Circuit) -> str:
     """Canonical text form; ``parse_qasm`` of the output reproduces the circuit."""
     lines = [_QASM_HEADER + f"qreg q[{circuit.num_qubits}];"]
-    for g in circuit.gates:
-        params = f"({','.join(repr(p) for p in g.params)})" if g.params else ""
-        args = ",".join(f"q[{q}]" for q in g.qubits)
-        lines.append(f"{g.label}{params} {args};")
+    for label, qubits, params in zip(circuit.labels, circuit.qubits, circuit.params):
+        text = f"({','.join(map(repr, params))})" if params else ""
+        args = ",".join(f"q[{q}]" for q in qubits)
+        lines.append(f"{label}{text} {args};")
     return "\n".join(lines) + "\n"

@@ -84,8 +84,12 @@ class TestInitialAssignment:
 
 
 def validate_one(core_of, *gates):
-    """validate_path on a one-slice path over 2 cores of capacity 2."""
-    validate_path(path_of(core_of), (gates,), Architecture(2, 2))
+    """validate_path on a one-slice path over 2 cores of capacity 2, against
+    the slicing of ``gates`` (one h on qubit 0 when none are given) over as
+    many qubits as the row places."""
+    sliced = timeslice(Circuit(len(core_of), gates or (h(0),)))
+    assert sliced.num_slices == 1
+    validate_path(path_of(core_of), sliced, Architecture(2, 2))
 
 
 class TestIsValid:
@@ -160,6 +164,20 @@ class TestValidatePath:
         path = AssignmentPath(3, 2, 2, (Assignment((0, 0, 1)),))
         with pytest.raises(MappingValidationError, match="slice 0"):
             validate_path(path, self.slices(4, cx(0, 1), h(3)), Architecture(2, 2))
+
+    def test_untouched_qubit_beyond_path_rejected(self):
+        # No gate touches the missing qubit 3; the slicing's qubit count
+        # still says the row is one qubit short.
+        path = AssignmentPath(3, 2, 2, (Assignment((0, 0, 1)),))
+        sliced = timeslice(Circuit(4, (cx(0, 1),)))
+        for slicing in (sliced, sliced.slices):
+            with pytest.raises(MappingValidationError, match="slice 0"):
+                validate_path(path, slicing, Architecture(2, 2))
+
+    def test_row_wider_than_circuit_rejected(self):
+        path = AssignmentPath(4, 2, 2, (Assignment((0, 0, 1, 1)),))
+        with pytest.raises(MappingValidationError, match="slice 0"):
+            validate_path(path, timeslice(Circuit(3, (cx(0, 1),))), Architecture(2, 2))
 
     @REUSED
     def test_shared_assignment_checked_on_every_slice(self, again):

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from qcoremap import Architecture, BenchmarkSpec
+from qcoremap import Architecture, BenchmarkSpec, Gate, gen_qft, parse_qasm, serialize_qasm
 from qcoremap.harness import (
     CSV_COLUMNS,
     DEFAULT_CORE_SWEEP,
@@ -11,6 +11,7 @@ from qcoremap.harness import (
     MAPPER_HQA,
     UsageError,
     _cell_architecture,
+    _run_mapper,
     parse_benchmark_names,
     ratios_to_csv,
     records_to_csv,
@@ -19,6 +20,25 @@ from qcoremap.harness import (
     sweep_cores,
     sweep_qubits,
 )
+
+
+def live_gates() -> int:
+    gc.collect()
+    return sum(type(o) is Gate for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("mapper", [MAPPER_HQA, MAPPER_FGP])
+def test_map_path_keeps_no_gate_alive(mapper):
+    # The map command's path: parse, slice, map, validate and count. None of
+    # it builds a Gate, so none is alive while the circuit still is.
+    text = serialize_qasm(gen_qft(120))
+    before = live_gates()
+    circuit = parse_qasm(text)
+    path, _elapsed, counts = _run_mapper(circuit, Architecture(10, 12), mapper, True)
+    assert counts["num_2q_gates"] == 120 * 119 // 2 + 60
+    assert live_gates() == before
+    assert len(circuit.gates) == 7320  # read on request, and only then
+    assert live_gates() == before + 7320
 
 
 class TestRunSingle:

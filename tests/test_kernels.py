@@ -8,6 +8,8 @@ order, so results must be bit-identical wherever the arithmetic is exact, as
 on the dyadic weights the mappers produce; on rounded real costs the Hungarian
 matchings must still agree."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,8 +307,11 @@ def test_window_matrix_matches_scalar_definition(circuit, monkeypatch):
     # Pairs outside the window's support have weight 0 by definition, so
     # only the support is evaluated; each slice's pair set is computed once
     # so that the scalar definition runs at n = 120.
+    # The slicing's view builds a new gate tuple on every read, so the scalar
+    # side reads a copy whose slices are stored tuples and keep their ids.
     sliced = timeslice(circuit)
-    pair_sets = {id(gates): scalar_reference.interacting_pairs(gates) for gates in sliced.slices}
+    stored = dataclasses.replace(sliced, slices=tuple(sliced.slices))
+    pair_sets = {id(gates): scalar_reference.interacting_pairs(gates) for gates in stored.slices}
     monkeypatch.setattr(
         scalar_reference, "interacting_pairs", lambda gates: pair_sets[id(gates)]
     )
@@ -314,4 +319,4 @@ def test_window_matrix_matches_scalar_definition(circuit, monkeypatch):
     for horizon in (1, 4, 32):
         for t in range(-1, sliced.num_slices):
             window = window_matrix(sliced.num_qubits, pa, pb, offsets, t, horizon)
-            assert window.tobytes() == scalar_window(sliced, t, horizon).tobytes()
+            assert window.tobytes() == scalar_window(stored, t, horizon).tobytes()

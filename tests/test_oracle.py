@@ -20,6 +20,7 @@ from qcoremap import (
     gen_random,
     map_circuit,
     minimum_communications,
+    oracle,
     timeslice,
 )
 
@@ -67,6 +68,34 @@ class TestMinimumCommunications:
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
             minimum_communications(gen_ghz(16), Architecture(4, 4), max_states=10)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_budget_asked_before_slicing(self, monkeypatch, cores):
+        # Slicing 2,000,000 qubits would allocate per qubit, and the power
+        # 3**2000000 alone takes a third of a second: neither may happen.
+        def sliced_too_soon(circuit):
+            raise AssertionError("sliced before the budget was asked")
+
+        monkeypatch.setattr(oracle, "timeslice", sliced_too_soon)
+        circuit = Circuit(2_000_000, (cx(0, 1),))
+        arch = Architecture(cores, 1_000_000)
+        with pytest.raises(ValueError, match=f"{cores}\\*\\*2000000 core vectors exceed"):
+            minimum_communications(circuit, arch)
+
+    @pytest.mark.parametrize("max_states", [-1, 0, 1, 10])
+    def test_empty_circuit_costs_nothing_under_any_budget(self, monkeypatch, max_states):
+        monkeypatch.setattr(oracle, "timeslice", None)  # never reached
+        assert minimum_communications(Circuit(20, ()), Architecture(4, 5), max_states) == 0
+
+    @pytest.mark.parametrize("n, k, max_states", [(3, 2, 7), (3, 2, 8), (5, 3, 242), (5, 3, 243), (4, 1, 0), (4, 1, 1)])
+    def test_budget_boundary(self, n, k, max_states):
+        circuit = Circuit(n, (cx(0, 1),))
+        arch = Architecture(k, n)
+        if k**n > max_states:
+            with pytest.raises(ValueError, match="budget"):
+                minimum_communications(circuit, arch, max_states)
+        else:
+            assert minimum_communications(circuit, arch, max_states) == 0
 
 
 class TestGridSize:

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,22 @@ from qcoremap import (
 
 from conftest import circuits
 from qcoremap import qasm as qasm_module
-from qcoremap.circuit import _unchecked_gate
 from qcoremap.qasm import ONE_QUBIT_GATES, TWO_QUBIT_GATES
+
+
+def record_runs(monkeypatch):
+    """Record each run of canonical gate lines the lane is offered, as its
+    rows (name, parameter text, operands), with the lane's verdict."""
+    verdicts = []
+    run = qasm_module._Program.run
+
+    def recording(program, *columns):
+        verdict = run(program, *columns)
+        verdicts.append((list(zip(*columns)), verdict))
+        return verdict
+
+    monkeypatch.setattr(qasm_module._Program, "run", recording)
+    return verdicts
 
 
 class TestParse:
@@ -97,13 +112,14 @@ class TestParse:
 
     @pytest.mark.parametrize("numeral", ["1e999", "-1e999", "0,1e999,0"])
     def test_fast_lane_rejects_non_finite(self, numeral, monkeypatch):
-        # A plain numeral that float() reads as +-inf leaves the fast lane,
-        # and the statement path rejects it at its line.
-        monkeypatch.setattr(qasm_module, "_unchecked_gate", None)
+        # A plain numeral that float() reads as +-inf makes the lane refuse
+        # its run, and the statement path rejects it at its line.
+        verdicts = record_runs(monkeypatch)
         gate = "u3" if "," in numeral else "rz"
         with pytest.raises(QasmError, match="not finite") as err:
             parse_qasm(f"qreg q[1];\n{gate}({numeral}) q[0];")
         assert (err.value.line, err.value.column) == (2, 1)
+        assert [verdict for _, verdict in verdicts] == [False]
 
     @pytest.mark.parametrize("expression", ["1e999-1e999", "1e308*10", "-pi*1e308"])
     def test_statement_path_rejects_non_finite(self, expression):
@@ -134,16 +150,11 @@ class TestParse:
         assert (err.value.line, err.value.column) == (4, 3)
 
     def test_line_after_trailing_blank_takes_fast_lane(self, monkeypatch):
-        built = []
-
-        def recording(label, qubits, params):
-            built.append((label, qubits))
-            return _unchecked_gate(label, qubits, params)
-
-        monkeypatch.setattr(qasm_module, "_unchecked_gate", recording)
+        verdicts = record_runs(monkeypatch)
         circuit = parse_qasm("qreg q[2];\ncx q[0],q[1]; \nh q[1];\n")
         assert [(g.label, g.qubits) for g in circuit.gates] == [("cx", (0, 1)), ("h", (1,))]
-        assert built == [("h", (1,))]  # the trailing-blank line took the statement path
+        # The trailing-blank line took the statement path; the next is a run.
+        assert verdicts == [([("h", None, "q[1]", None)], True)]
 
 
 class TestSerialize:
@@ -254,7 +265,7 @@ def _mutate(draw, lines: list[str]) -> None:
             lines[i] = line[:-1] + ",q[0];"  # add one
     elif kind == "unknown":
         lines[i] = draw(st.sampled_from(["foo", "ccx", "CX", "h2"])) + line[line.find(" ") :]
-    elif kind == "duplicate" and "," in line and "(" not in line:
+    elif kind == "duplicate" and "," in line and "(" not in line and " " in line:
         lines[i] = line[: line.index(",") + 1] + line[line.index(" ") + 1 : line.index(",")] + ";"
     elif kind == "char":
         lines[i] = line[:at] + draw(st.sampled_from(list("();,[]q0-+.e pi/"))) + line[at:]
@@ -269,37 +280,96 @@ def qasm_texts(draw):
     return "\n".join(lines)
 
 
+# Every line boundary of str.splitlines other than '\n'.
+LINE_SEPARATORS = {
+    "cr": "\r", "crlf": "\r\n", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "gs": "\x1d",
+    "rs": "\x1e", "nel": "\x85", "ls": "\u2028", "ps": "\u2029",
+}
+# A 1,000-line canonical run whose line 602 (after the qreg line) holds an
+# index beyond the register.
+DEEP_RUN = "qreg q[4];\n" + "cx q[0],q[1];\n" * 600 + "   h q[7];\n" + "h q[2];\n" * 399
+# Edge cases too long to serve as their own test ids.
+NAMED_CASES = {
+    "bad-index-deep-in-a-run": DEEP_RUN,
+    **{
+        f"{name}-{last}": f"qreg q[2];{sep}h q[0];{sep}cx q[0],q[1];{sep}h q[{last}];"
+        for name, sep in LINE_SEPARATORS.items()
+        for last in (1, 7)
+    },
+}
+EDGE_CASES = [
+    "qreg q[2];\ncx q[0],q[1]; \nh q[5];",  # trailing space, then an error
+    "qreg q[2];\ncx q[0],\nq[1];\nh q[0];",
+    "qreg q[2]; h q[0];\nh q[1];",
+    "qreg q[2];\nrx(1//2) q[0];\nh q[0];",
+    "qreg q[2];\nrx(1/0) q[0];",
+    "qreg q[2];\nrz(pi/0) q[0];\nh q[0];",
+    "qreg q[2];\nrz(1e999) q[0];",
+    "qreg q[2];\nrz(1e999-1e999) q[0];",
+    "qreg q[2];\nrx(--1) q[0];\nrx(1.e5) q[1];\nrx(.5e-3) q[1];",
+    "qreg q[2];\ncx() q[0],q[1];\nh() q[0];",
+    "qreg q[2];\nh q[01];\ncx q[1],q[1];",
+    "qreg q[2];\nh q[2];",
+    "qreg q[2];\nh q[0],q[1];\ncx q[0];",
+    "qreg q[2];\nu3(1.0) q[0];\nh(0.5) q[0];\nrx q[0];\nrx(1,2) q[0];\ncp(1) q[0];",
+    "qreg q[2];\n\u00a0h q[0];\nh\u00a0q[1];",
+    "qreg q[2];\nh q[\u0661];",
+    "h q[0];\nqreg q[2];",
+    "qreg q[2];\nqreg q[3];",
+    "qreg q[2];\nh q[0];\ncx q[0],q[1];\nqreg r[2];\ncx q[1],r[0];\nh r[1];",
+    "qreg q[2];\nh q[0];\nqreg r[2];\ncx q[1],r[2];\nh r[1];",
+    "qreg q[2];\nh r[0];\nqreg r[2];\nh r[0];",
+    "qreg q[2];\nbarrier q[0],\nh q[1];\nh q[0];",
+    "qreg q[2];\ncx q[0],\nh q[1];\nh q[0];",
+    "qreg q[2];\nh() q[0];\nh q[1];",
+    "qreg q[2];\nh q[1];\nrz() q[0];\nh q[1];",
+    "qreg q[2];\nh q[0];\nrz(1e999) q[1];\nh q[1];",
+    "qreg q[2];\nh q[0];\nu3(0,-1e999,1) q[1];\nh q[1];",
+    *NAMED_CASES.values(),
+]
+
+
 class TestAgreesWithReference:
     @given(qasm_texts())
     @settings(max_examples=400, deadline=None)
     def test_same_circuit_or_same_error(self, text):
         assert_parses_like_reference(text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "qreg q[2];\ncx q[0],q[1]; \nh q[5];",  # trailing space, then an error
-            "qreg q[2];\ncx q[0],\nq[1];\nh q[0];",
-            "qreg q[2]; h q[0];\nh q[1];",
-            "qreg q[2];\nrx(1//2) q[0];\nh q[0];",
-            "qreg q[2];\nrx(1/0) q[0];",
-            "qreg q[2];\nrz(pi/0) q[0];\nh q[0];",
-            "qreg q[2];\nrz(1e999) q[0];",
-            "qreg q[2];\nrz(1e999-1e999) q[0];",
-            "qreg q[2];\nrx(--1) q[0];\nrx(1.e5) q[1];\nrx(.5e-3) q[1];",
-            "qreg q[2];\ncx() q[0],q[1];\nh() q[0];",
-            "qreg q[2];\nh q[01];\ncx q[1],q[1];",
-            "qreg q[2];\nh q[2];",
-            "qreg q[2];\nh q[0],q[1];\ncx q[0];",
-            "qreg q[2];\nu3(1.0) q[0];\nh(0.5) q[0];\nrx q[0];\nrx(1,2) q[0];\ncp(1) q[0];",
-            "qreg q[2];\n\u00a0h q[0];\nh\u00a0q[1];",
-            "qreg q[2];\nh q[\u0661];",
-            "h q[0];\nqreg q[2];",
-            "qreg q[2];\nqreg q[3];",
-        ],
-    )
+    @pytest.mark.parametrize("text", EDGE_CASES, ids={t: n for n, t in NAMED_CASES.items()}.get)
     def test_edge_cases(self, text):
         assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("piece", [0, 1, 9, 40])
+    def test_edge_cases_in_small_pieces(self, piece):
+        # Pieces of about ``piece`` characters put piece boundaries inside
+        # runs, continuations and the lines around each error.
+        with mock.patch.object(qasm_module, "_PIECE", piece):
+            for text in EDGE_CASES:
+                assert_parses_like_reference(text)
+
+    @given(qasm_texts(), st.integers(min_value=0, max_value=60))
+    @settings(max_examples=200, deadline=None)
+    def test_any_piece_size_agrees(self, text, piece):
+        with mock.patch.object(qasm_module, "_PIECE", piece):
+            assert_parses_like_reference(text)
+
+    def test_bad_index_deep_in_a_run_names_its_line(self):
+        with pytest.raises(QasmError, match="index 7 out of range") as err:
+            parse_qasm(DEEP_RUN)
+        assert (err.value.line, err.value.column) == (602, 4)
+
+    @pytest.mark.parametrize("name", sorted(LINE_SEPARATORS))
+    def test_every_splitlines_separator_numbers_lines(self, name):
+        sep = LINE_SEPARATORS[name]
+        with pytest.raises(QasmError) as err:
+            parse_qasm(f"qreg q[2];{sep}h q[0];{sep}cx q[0],q[1];{sep}  h q[7];")
+        assert (err.value.line, err.value.column) == (4, 3)
+
+    def test_generated_text_is_one_accepted_run(self, monkeypatch):
+        verdicts = record_runs(monkeypatch)
+        circuit = BenchmarkSpec("random", 12, cycles=4, density=0.5, seed=3).build()
+        assert parse_qasm(serialize_qasm(circuit)) == circuit
+        assert [(len(rows), verdict) for rows, verdict in verdicts] == [(len(circuit.gates), True)]
 
     @pytest.mark.parametrize("family", ["ghz", "cuccaro", "qft", "quantum_volume", "grover", "random"])
     def test_every_generator(self, family):

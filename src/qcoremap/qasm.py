@@ -364,8 +364,8 @@ def parse_qasm(text: str) -> Circuit:
 def serialize_qasm(circuit: Circuit) -> str:
     """Canonical text form; ``parse_qasm`` of the output reproduces the circuit."""
     lines = [_QASM_HEADER + f"qreg q[{circuit.num_qubits}];"]
-    for label, qubits, params in zip(circuit.labels, circuit.qubits, circuit.params):
-        text = f"({','.join(map(repr, params))})" if params else ""
-        args = ",".join(f"q[{q}]" for q in qubits)
-        lines.append(f"{label}{text} {args};")
+    for g in circuit.gates:
+        params = f"({','.join(repr(p) for p in g.params)})" if g.params else ""
+        args = ",".join(f"q[{q}]" for q in g.qubits)
+        lines.append(f"{g.label}{params} {args};")
     return "\n".join(lines) + "\n"

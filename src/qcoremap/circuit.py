@@ -291,19 +291,23 @@ def timeslice(circuit: Circuit) -> TimeslicedCircuit:
     Each gate lands in the earliest slice after the last slice that touched any
     of its qubits, so slices are disjoint, per-qubit order is preserved, and no
     gate could be hoisted one slice earlier. The walk reads the circuit's qubit
-    column, records each gate's slice for the view, and appends its qubits to
-    the slice's pair or one-qubit bucket, which ``_flatten`` turns into
-    ``pairs`` and ``singles``. The result is computed on the first call for a
-    circuit and returned again on every later call.
+    column (or, for a circuit built from gates, each gate's qubits, so that no
+    column is kept), records each gate's slice for the view, and appends its
+    qubits to the slice's pair or one-qubit bucket, which ``_flatten`` turns
+    into ``pairs`` and ``singles``. The result is computed on the first call
+    for a circuit and returned again on every later call.
     """
     cached = circuit._sliced
     if cached is not None:
         return cached
+    qubit_column = circuit._qubits
+    if qubit_column is None:  # built from gates: read their qubits, keep no column
+        qubit_column = map(attrgetter("qubits"), circuit._gates)
     last = [-1] * circuit.num_qubits
     slice_of: list[int] = []
     pair_qubits: list[list[int]] = []
     single_qubits: list[list[int]] = []
-    for qubits in circuit.qubits:
+    for qubits in qubit_column:
         if len(qubits) == 2:
             a, b = qubits
             s = 1 + (last[a] if last[a] > last[b] else last[b])
@@ -326,7 +330,7 @@ def timeslice(circuit: Circuit) -> TimeslicedCircuit:
             pairs,
             circuit._gates,
             (circuit._labels, circuit._qubits, circuit._params),
-            np.fromiter(slice_of, dtype=np.int64, count=len(slice_of)),
+            np.fromiter(slice_of, dtype=np.int32, count=len(slice_of)),
         ),
         pairs,
         _flatten(single_qubits, 1),

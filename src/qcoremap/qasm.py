@@ -255,6 +255,7 @@ class _Program:
                 break
 
     def statement(self, stmt: str, line: int, col: int) -> None:
+        """Apply one statement; ``line`` and ``col`` locate it in errors."""
         head = stmt.split(None, 1)[0]
         if head == "OPENQASM":
             version = stmt[len("OPENQASM"):].strip()

@@ -3,23 +3,22 @@
 Only the interaction structure matters to the mapping passes: gate labels and
 angles are opaque payload kept for serialization fidelity.
 
-A circuit holds its gates as three parallel columns (labels, qubit tuples and
-parameter tuples), or as the ``Gate`` objects it was built from, and builds
-either form from the other when it is first read. A slicing's ``slices``
-gives a slice's gate tuple when it is read. The mapping passes, the checks
-and the oracle read neither gates nor slices: they read the slicing's
-read-only int arrays of pairs and of one-qubit gates, so parsing and mapping
-a circuit builds no ``Gate``. A column of tuples of ints or floats stops
-being tracked by the garbage collector once its tuples have been through one
-collection, so a parsed circuit adds nothing to a full collection.
+A circuit holds its gates as three parallel columns and nothing else: one
+label, one qubit tuple and one parameter tuple per gate. The generators and
+the QASM parser fill the columns directly; ``Circuit(n, gates)`` turns the
+gates it is given into columns. ``Gate`` objects are built only when a
+circuit's ``gates`` or a slicing's ``slices`` is read, and are not kept. The
+mapping passes, the checks and the oracle read the slicing's read-only int
+arrays of pairs and of one-qubit gates, so generating, parsing and mapping a
+circuit builds no ``Gate``. A column of tuples of ints or floats stops being
+tracked by the garbage collector once its tuples have been through one
+collection, so a circuit adds nothing to a full collection.
 
 Circuits and gates are immutable, so a circuit's timeslicing is computed once
 and kept on the circuit: every later ``timeslice`` call returns that object.
 
-A ``Gate`` is slotted and has no per-instance ``__dict__``. A generated
-circuit holds tens of thousands of gates; with a dict each, a gate took about
-160 bytes instead of 56, and building them set off extra full garbage
-collections.
+A ``Gate`` is slotted and has no per-instance ``__dict__``: with a dict
+each, a gate took about 160 bytes instead of 56.
 """
 
 from __future__ import annotations
@@ -71,18 +70,6 @@ def _unchecked_gate(label: str, qubits: tuple[int, ...], params: tuple[float, ..
     return gate
 
 
-def _gates_of(labels, qubits, params, indices) -> tuple[Gate, ...]:
-    """The gates at ``indices`` of the three columns, built unchecked."""
-    return tuple(
-        map(
-            _unchecked_gate,
-            map(labels.__getitem__, indices),
-            map(qubits.__getitem__, indices),
-            map(params.__getitem__, indices),
-        )
-    )
-
-
 _write = object.__setattr__
 
 
@@ -90,29 +77,33 @@ class Circuit:
     """An ordered gate list over ``num_qubits`` logical qubits.
 
     The gates are held as the parallel columns ``labels``, ``qubits`` and
-    ``params``: gate i is ``Gate(labels[i], qubits[i], params[i])``. A
-    circuit built from gates, ``Circuit(n, gates)``, keeps the gates it was
-    given and builds each column when it is first read; one built from
-    columns, as ``parse_qasm`` builds it, builds ``gates`` when it is first
-    read. Either way, equality, hashing, ``repr`` and pickling are those of
+    ``params``: gate i is ``Gate(labels[i], qubits[i], params[i])``.
+    ``Circuit(n, gates)`` turns the gates into columns and keeps none of
+    them; ``gates`` builds a fresh tuple of ``Gate`` from the columns on
+    every read. Equality, hashing, ``repr`` and pickling are those of
     ``(num_qubits, gates)``. The circuit is frozen; ``timeslice`` stores its
     result on it, which equality, hashing and ``repr`` ignore.
     """
 
-    __slots__ = ("num_qubits", "_gates", "_labels", "_qubits", "_params", "_sliced", "__weakref__")
+    __slots__ = ("num_qubits", "labels", "qubits", "params", "_sliced", "__weakref__")
 
     def __init__(self, num_qubits: int, gates=()):
         gates = tuple(gates)
+        columns = (tuple(map(attrgetter(name), gates)) for name in ("label", "qubits", "params"))
+        self._fill(num_qubits, *columns)
+
+    def _fill(self, num_qubits: int, labels, qubits, params):
+        """Store the columns, after checking that ``num_qubits`` is positive
+        and bounds every qubit index: the one check every circuit passes."""
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be positive, got {num_qubits}")
-        for g in gates:
-            if max(g.qubits) >= num_qubits:
-                raise ValueError(f"gate '{g.label}' on {g.qubits} exceeds {num_qubits} qubits")
+        if qubits and max(chain.from_iterable(qubits)) >= num_qubits:
+            i = next(i for i, q in enumerate(qubits) if max(q) >= num_qubits)
+            raise ValueError(f"gate '{labels[i]}' on {qubits[i]} exceeds {num_qubits} qubits")
         _write(self, "num_qubits", num_qubits)
-        _write(self, "_gates", gates)
-        _write(self, "_labels", None)
-        _write(self, "_qubits", None)
-        _write(self, "_params", None)
+        _write(self, "labels", labels)
+        _write(self, "qubits", qubits)
+        _write(self, "params", params)
         _write(self, "_sliced", None)
 
     def __setattr__(self, name, value):
@@ -123,32 +114,7 @@ class Circuit:
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        if self._gates is None:
-            indices = range(len(self._qubits))
-            _write(self, "_gates", _gates_of(self._labels, self._qubits, self._params, indices))
-        return self._gates
-
-    def _column(self, slot: str, name: str) -> tuple:
-        column = getattr(self, slot)
-        if column is None:
-            column = tuple(map(attrgetter(name), self._gates))
-            _write(self, slot, column)
-        return column
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Each gate's label, in gate order."""
-        return self._column("_labels", "label")
-
-    @property
-    def qubits(self) -> tuple[tuple[int, ...], ...]:
-        """Each gate's one or two qubit indices, in gate order."""
-        return self._column("_qubits", "qubits")
-
-    @property
-    def params(self) -> tuple[tuple[float, ...], ...]:
-        """Each gate's parameters, in gate order."""
-        return self._column("_params", "params")
+        return tuple(map(_unchecked_gate, self.labels, self.qubits, self.params))
 
     def _columns(self):
         return self.labels, self.qubits, self.params
@@ -171,39 +137,32 @@ class Circuit:
 
 
 def _from_columns(num_qubits: int, labels, qubits, params) -> Circuit:
-    """A Circuit held as columns, for a caller that has checked that
-    ``num_qubits`` is positive, that each ``qubits`` entry is a tuple of one
-    or two distinct indices below it, and that each ``params`` entry is a
-    tuple; the three columns are tuples of one length."""
+    """A Circuit held as the given columns, for a caller that has built them
+    as tuples of one length, each ``qubits`` entry a tuple of one or two
+    distinct non-negative indices and each ``params`` entry a tuple. The
+    index bound is checked here, as for ``Circuit(n, gates)``."""
     circuit = object.__new__(Circuit)
-    _write(circuit, "num_qubits", num_qubits)
-    _write(circuit, "_gates", None)
-    _write(circuit, "_labels", labels)
-    _write(circuit, "_qubits", qubits)
-    _write(circuit, "_params", params)
-    _write(circuit, "_sliced", None)
+    circuit._fill(num_qubits, labels, qubits, params)
     return circuit
 
 
 class SliceView(Sequence):
     """The slices of a slicing as a read-only sequence: item m is the tuple
-    of slice m's gates, in gate order. It holds the circuit's gates when the
-    circuit was built from them, and otherwise its columns, from which it
-    builds a slice's gates each time the slice is read; and ``slice_of``,
-    each gate's slice, which it groups by slice when first read.
+    of slice m's gates, in gate order, built from the circuit's columns each
+    time the slice is read. ``slice_of`` gives each gate's slice; the view
+    groups it by slice when first read.
 
     It also carries its slicing's ``num_qubits`` and ``pairs``, so a reader
     handed either the slicing or its ``slices`` finds the same arrays. Two
     views, or a view and a tuple, are equal when their gate tuples are.
     """
 
-    __slots__ = ("num_qubits", "pairs", "_gates", "_columns", "_slice_of", "_members")
+    __slots__ = ("num_qubits", "pairs", "_columns", "_slice_of", "_members")
 
-    def __init__(self, num_qubits: int, pairs, gates, columns, slice_of: np.ndarray):
+    def __init__(self, num_qubits: int, pairs, columns, slice_of: np.ndarray):
         slice_of.setflags(write=False)
         self.num_qubits = num_qubits
         self.pairs = pairs
-        self._gates = gates
         self._columns = columns
         self._slice_of = slice_of
         self._members = None
@@ -219,9 +178,8 @@ class SliceView(Sequence):
             self._members = (order.tolist(), bounds.tolist())
         order, bounds = self._members
         indices = order[bounds[m]:bounds[m + 1]]
-        if self._gates is not None:
-            return tuple(map(self._gates.__getitem__, indices))
-        return _gates_of(*self._columns, indices)
+        columns = (map(column.__getitem__, indices) for column in self._columns)
+        return tuple(map(_unchecked_gate, *columns))
 
     def __getitem__(self, m):
         if isinstance(m, slice):
@@ -243,8 +201,7 @@ class SliceView(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        state = (self.num_qubits, self.pairs, self._gates, self._columns, self._slice_of)
-        return (SliceView, state)
+        return (SliceView, (self.num_qubits, self.pairs, self._columns, self._slice_of))
 
 
 @dataclass(frozen=True)
@@ -291,23 +248,19 @@ def timeslice(circuit: Circuit) -> TimeslicedCircuit:
     Each gate lands in the earliest slice after the last slice that touched any
     of its qubits, so slices are disjoint, per-qubit order is preserved, and no
     gate could be hoisted one slice earlier. The walk reads the circuit's qubit
-    column (or, for a circuit built from gates, each gate's qubits, so that no
-    column is kept), records each gate's slice for the view, and appends its
-    qubits to the slice's pair or one-qubit bucket, which ``_flatten`` turns
-    into ``pairs`` and ``singles``. The result is computed on the first call
-    for a circuit and returned again on every later call.
+    column, records each gate's slice for the view, and appends its qubits to
+    the slice's pair or one-qubit bucket, which ``_flatten`` turns into
+    ``pairs`` and ``singles``. The result is computed on the first call for a
+    circuit and returned again on every later call.
     """
     cached = circuit._sliced
     if cached is not None:
         return cached
-    qubit_column = circuit._qubits
-    if qubit_column is None:  # built from gates: read their qubits, keep no column
-        qubit_column = map(attrgetter("qubits"), circuit._gates)
     last = [-1] * circuit.num_qubits
     slice_of: list[int] = []
     pair_qubits: list[list[int]] = []
     single_qubits: list[list[int]] = []
-    for qubits in qubit_column:
+    for qubits in circuit.qubits:
         if len(qubits) == 2:
             a, b = qubits
             s = 1 + (last[a] if last[a] > last[b] else last[b])
@@ -328,8 +281,7 @@ def timeslice(circuit: Circuit) -> TimeslicedCircuit:
         SliceView(
             circuit.num_qubits,
             pairs,
-            circuit._gates,
-            (circuit._labels, circuit._qubits, circuit._params),
+            circuit._columns(),
             np.fromiter(slice_of, dtype=np.int32, count=len(slice_of)),
         ),
         pairs,

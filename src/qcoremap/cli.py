@@ -1,7 +1,8 @@
 """Command-line harness: generate benchmarks, map circuits, run sweeps.
 
 Exit codes: 0 success; 1 when the architecture cannot hold or map the
-circuit, or a path fails validation; 2 usage error, bad QASM included.
+circuit, a path fails validation, or memory runs out; 2 usage error, bad
+QASM included.
 """
 
 from __future__ import annotations
@@ -232,6 +233,9 @@ def main(argv=None) -> int:
     except (CapacityError, MappingInfeasibleError, MappingValidationError,
             OracleInfeasibleError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 1
     except ValueError as exc:  # UsageError and QasmError among them
         sys.stderr.write(f"error: {exc}\n")

@@ -4,9 +4,10 @@ All families emit only one- and two-qubit gates. Stochastic families
 (quantum_volume, random) are bit-reproducible for a fixed seed via the pinned
 PRNG in :mod:`qcoremap.rng`.
 
-Gates are built unchecked through ``_unchecked_gate``: every family emits
-distinct, non-negative qubit indices by construction, and the checked
-``Circuit(n, gates)`` each generator returns bounds every index by ``n``.
+Each family appends its gates to a circuit's three columns through
+``_Columns`` and builds no ``Gate``: every family emits distinct,
+non-negative qubit indices by construction, and the circuit each generator
+returns is bounded by ``n`` through the same check as every other circuit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, _unchecked_gate
+from .circuit import Circuit, _from_columns
 from .rng import Xoshiro256StarStar, stream_for
 
 FAMILIES = ("ghz", "cuccaro", "qft", "quantum_volume", "grover", "random")
@@ -24,47 +25,78 @@ _ONE_QUBIT_POOL = ("h", "x", "y", "z", "s", "sdg", "t", "tdg")
 _TWO_PI = 2.0 * math.pi
 
 
-def _g1(label: str, q: int, *params: float) -> Gate:
-    return _unchecked_gate(label, (q,), params)
+class _Columns:
+    """A circuit's label, qubit and parameter columns on ``num_qubits``
+    qubits, appended gate by gate. The one-qubit gates on qubit q share one
+    ``(q,)`` tuple, as a parsed circuit's do."""
+
+    __slots__ = ("num_qubits", "labels", "qubits", "params", "_single")
+
+    def __init__(self, num_qubits: int):
+        self.num_qubits = num_qubits
+        self.labels: list[str] = []
+        self.qubits: list[tuple[int, ...]] = []
+        self.params: list[tuple[float, ...]] = []
+        self._single = [(q,) for q in range(num_qubits)]
+
+    def g1(self, label: str, q: int, *params: float):
+        self.labels.append(label)
+        self.qubits.append(self._single[q])
+        self.params.append(params)
+
+    def g2(self, label: str, a: int, b: int, *params: float):
+        self.labels.append(label)
+        self.qubits.append((a, b))
+        self.params.append(params)
+
+    def circuit(self) -> Circuit:
+        return _from_columns(
+            self.num_qubits, tuple(self.labels), tuple(self.qubits), tuple(self.params)
+        )
 
 
-def _g2(label: str, a: int, b: int, *params: float) -> Gate:
-    return _unchecked_gate(label, (a, b), params)
-
-
-def _ccx(c1: int, c2: int, tgt: int) -> list[Gate]:
+def _ccx(out: _Columns, c1: int, c2: int, tgt: int):
     """Toffoli expanded to the standard 6-CX network (qelib1 ccx)."""
-    return [
-        _g1("h", tgt),
-        _g2("cx", c2, tgt), _g1("tdg", tgt),
-        _g2("cx", c1, tgt), _g1("t", tgt),
-        _g2("cx", c2, tgt), _g1("tdg", tgt),
-        _g2("cx", c1, tgt), _g1("t", c2), _g1("t", tgt), _g1("h", tgt),
-        _g2("cx", c1, c2), _g1("t", c1), _g1("tdg", c2),
-        _g2("cx", c1, c2),
-    ]
+    out.g1("h", tgt)
+    out.g2("cx", c2, tgt)
+    out.g1("tdg", tgt)
+    out.g2("cx", c1, tgt)
+    out.g1("t", tgt)
+    out.g2("cx", c2, tgt)
+    out.g1("tdg", tgt)
+    out.g2("cx", c1, tgt)
+    out.g1("t", c2)
+    out.g1("t", tgt)
+    out.g1("h", tgt)
+    out.g2("cx", c1, c2)
+    out.g1("t", c1)
+    out.g1("tdg", c2)
+    out.g2("cx", c1, c2)
 
 
 def gen_ghz(n: int) -> Circuit:
     """Star-shaped entangler: h(0) then cx(0, i) for every other qubit."""
     if n < 2:
         raise ValueError(f"GHZ needs at least 2 qubits, got {n}")
-    gates = [_g1("h", 0)] + [_g2("cx", 0, i) for i in range(1, n)]
-    return Circuit(n, tuple(gates))
+    out = _Columns(n)
+    out.g1("h", 0)
+    for i in range(1, n):
+        out.g2("cx", 0, i)
+    return out.circuit()
 
 
 def gen_qft(n: int) -> Circuit:
     """Textbook Fourier transform: h + controlled-phase fan per qubit, final swap network."""
     if n < 1:
         raise ValueError(f"QFT needs at least 1 qubit, got {n}")
-    gates: list[Gate] = []
+    out = _Columns(n)
     for i in range(n):
-        gates.append(_g1("h", i))
+        out.g1("h", i)
         for j in range(i + 1, n):
-            gates.append(_g2("cp", i, j, math.pi / 2 ** (j - i)))
+            out.g2("cp", i, j, math.pi / 2 ** (j - i))
     for i in range(n // 2):
-        gates.append(_g2("swap", i, n - 1 - i))
-    return Circuit(n, tuple(gates))
+        out.g2("swap", i, n - 1 - i)
+    return out.circuit()
 
 
 def gen_cuccaro(n_bits: int) -> Circuit:
@@ -79,34 +111,32 @@ def gen_cuccaro(n_bits: int) -> Circuit:
     b = [2 * i + 1 for i in range(n_bits)]
     cin = 2 * n_bits
     cout = 2 * n_bits + 1
-
-    def maj(x, y, z):
-        return [_g2("cx", z, y), _g2("cx", z, x)] + _ccx(x, y, z)
-
-    def uma(x, y, z):
-        return _ccx(x, y, z) + [_g2("cx", z, x), _g2("cx", x, y)]
-
-    gates: list[Gate] = []
+    out = _Columns(2 * n_bits + 2)
     chain = [(cin, b[0], a[0])] + [(a[i - 1], b[i], a[i]) for i in range(1, n_bits)]
-    for x, y, z in chain:
-        gates.extend(maj(x, y, z))
-    gates.append(_g2("cx", a[-1], cout))
-    for x, y, z in reversed(chain):
-        gates.extend(uma(x, y, z))
-    return Circuit(2 * n_bits + 2, tuple(gates))
+    for x, y, z in chain:  # MAJ
+        out.g2("cx", z, y)
+        out.g2("cx", z, x)
+        _ccx(out, x, y, z)
+    out.g2("cx", a[-1], cout)
+    for x, y, z in reversed(chain):  # UMA
+        _ccx(out, x, y, z)
+        out.g2("cx", z, x)
+        out.g2("cx", x, y)
+    return out.circuit()
 
 
-def _su4_block(rng: Xoshiro256StarStar, a: int, b: int) -> list[Gate]:
+def _su4_block(out: _Columns, rng: Xoshiro256StarStar, a: int, b: int):
     """Structural stand-in for a two-qubit SU(4) block: 3 cx interleaved with rotations."""
     th = [rng.random() * _TWO_PI for _ in range(6)]
-    return [
-        _g1("ry", a, th[0]), _g1("rz", b, th[1]),
-        _g2("cx", a, b),
-        _g1("rz", a, th[2]), _g1("ry", b, th[3]),
-        _g2("cx", b, a),
-        _g1("ry", a, th[4]), _g1("rz", b, th[5]),
-        _g2("cx", a, b),
-    ]
+    out.g1("ry", a, th[0])
+    out.g1("rz", b, th[1])
+    out.g2("cx", a, b)
+    out.g1("rz", a, th[2])
+    out.g1("ry", b, th[3])
+    out.g2("cx", b, a)
+    out.g1("ry", a, th[4])
+    out.g1("rz", b, th[5])
+    out.g2("cx", a, b)
 
 
 def gen_quantum_volume(n: int, depth: int, seed: int) -> Circuit:
@@ -116,20 +146,23 @@ def gen_quantum_volume(n: int, depth: int, seed: int) -> Circuit:
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     rng = stream_for("quantum_volume", n, seed)
-    gates: list[Gate] = []
+    out = _Columns(n)
     for _ in range(depth):
         perm = list(range(n))
         rng.shuffle(perm)
         for m in range(n // 2):
-            gates.extend(_su4_block(rng, perm[2 * m], perm[2 * m + 1]))
-    return Circuit(n, tuple(gates))
+            _su4_block(out, rng, perm[2 * m], perm[2 * m + 1])
+    return out.circuit()
 
 
-def _ladder_z(n: int) -> list[Gate]:
+def _ladder_z(out: _Columns):
     """Structural multi-controlled-Z: ascending cx ladder, z, descending inverse ladder."""
-    asc = [_g2("cx", i, i + 1) for i in range(n - 1)]
-    desc = [_g2("cx", i, i + 1) for i in range(n - 2, -1, -1)]
-    return asc + [_g1("z", n - 1)] + desc
+    n = out.num_qubits
+    for i in range(n - 1):
+        out.g2("cx", i, i + 1)
+    out.g1("z", n - 1)
+    for i in range(n - 2, -1, -1):
+        out.g2("cx", i, i + 1)
 
 
 def gen_grover(n: int, iterations: int) -> Circuit:
@@ -142,15 +175,19 @@ def gen_grover(n: int, iterations: int) -> Circuit:
         raise ValueError(f"Grover needs at least 2 qubits, got {n}")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
-    gates: list[Gate] = [_g1("h", q) for q in range(n)]
+    out = _Columns(n)
+    for q in range(n):
+        out.g1("h", q)
     for _ in range(iterations):
-        gates.extend(_ladder_z(n))  # oracle
-        gates.extend(_g1("h", q) for q in range(n))
-        gates.extend(_g1("x", q) for q in range(n))
-        gates.extend(_ladder_z(n))
-        gates.extend(_g1("x", q) for q in range(n))
-        gates.extend(_g1("h", q) for q in range(n))
-    return Circuit(n, tuple(gates))
+        _ladder_z(out)  # oracle
+        for label in ("h", "x"):
+            for q in range(n):
+                out.g1(label, q)
+        _ladder_z(out)
+        for label in ("x", "h"):
+            for q in range(n):
+                out.g1(label, q)
+    return out.circuit()
 
 
 def gen_random(n: int, cycles: int, p: float, seed: int) -> Circuit:
@@ -162,16 +199,16 @@ def gen_random(n: int, cycles: int, p: float, seed: int) -> Circuit:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"two-qubit gate density must be in [0, 1], got {p}")
     rng = stream_for("random", n, seed)
-    gates: list[Gate] = []
+    out = _Columns(n)
     pairs_per_cycle = int(math.floor(p * n / 2.0))
     for _ in range(cycles):
         order = list(range(n))
         rng.shuffle(order)
         for m in range(pairs_per_cycle):
-            gates.append(_g2("cx", order[2 * m], order[2 * m + 1]))
+            out.g2("cx", order[2 * m], order[2 * m + 1])
         for q in order[2 * pairs_per_cycle:]:
-            gates.append(_g1(rng.choice(_ONE_QUBIT_POOL), q))
-    return Circuit(n, tuple(gates))
+            out.g1(rng.choice(_ONE_QUBIT_POOL), q)
+    return out.circuit()
 
 
 # The one family that reads each knob of BenchmarkSpec.

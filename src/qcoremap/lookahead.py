@@ -25,9 +25,9 @@ def window_matrix(num_qubits, pa, pb, offsets, t, horizon) -> np.ndarray:
     to it at any horizon.
     """
     t_end = min(len(offsets) - 2, t + horizon)
-    if t_end <= t:
+    lo, hi = offsets[t + 1], offsets[max(t, t_end) + 1]
+    if lo == hi:  # no pair ahead; bincount over no keys would return int64
         return np.zeros((num_qubits, num_qubits), dtype=np.float64)
-    lo, hi = offsets[t + 1], offsets[t_end + 1]
     a, b = pa[lo:hi], pb[lo:hi]
     keys = np.empty(2 * (hi - lo), dtype=np.int64)
     keys[0::2] = a * num_qubits + b

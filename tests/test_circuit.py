@@ -41,6 +41,9 @@ class TestGateInvariants:
     def test_gate_index_out_of_range(self):
         with pytest.raises(ValueError, match="exceeds"):
             Circuit(2, (cx(0, 2),))
+        # Generated and parsed circuits are built from columns through the same check.
+        with pytest.raises(ValueError, match=r"gate 'cx' on \(0, 2\) exceeds 2 qubits"):
+            circuit_module._from_columns(2, ("h", "cx", "cx"), ((1,), (0, 2), (3, 0)), ((), (), ()))
 
 
 SAMPLE_GATES = [("h", (2,), ()), ("cx", (3, 0), ()), ("cp", (0, 1), (0.5,)), ("u3", (1,), (0.1, 0.2, 0.3))]

@@ -114,6 +114,29 @@ class TestMap:
         assert code == 1
         assert "slice 0 has 3 two-qubit gates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)"),
+             "Unable to allocate 298. GiB for an array with shape (200000, 200000)"),
+            (MemoryError(), "out of memory"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_memory_error_exits_one(self, monkeypatch, capsys, error, message):
+        # A mapper that cannot allocate its arrays ends in an error line, not
+        # a traceback; numpy's MemoryError subclass names the array's size.
+        import io
+
+        def out_of_memory(*args):
+            raise error
+
+        monkeypatch.setattr(harness, "_run_mapper", out_of_memory)
+        monkeypatch.setattr("sys.stdin", io.StringIO("qreg q[4]; cx q[0],q[1];"))
+        assert main(["map", "-", "--cores", "2", "--capacity", "2"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     # sha256 over the path file and the metrics line of every ``map`` call,
     # in family, then mapper order; stochastic families use seed 1.
     PINNED_MAP = "a2a74b5d7cecc8b8de68b21165a5a3afe66d66994ef052b9b0b3303d01840753"

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,13 +174,24 @@ GENERATOR_SIZES = [
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_generated_gates_pass_the_gate_checks(family, n, data):
-    # The generators build their gates unchecked; rebuilding each one through
-    # the checked Gate must give an equal circuit.
+    # The generators fill columns unchecked; rebuilding each gate through the
+    # checked Gate must give the same circuit value: equal, with one hash and
+    # repr, and each unpickling equal to the other.
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed") if family in STOCHASTIC_FAMILIES else None
     circuit = BenchmarkSpec(family, n, seed=seed).build()
     checked = Circuit(circuit.num_qubits, tuple(Gate(g.label, g.qubits, g.params) for g in circuit.gates))
-    assert checked == circuit
+    assert checked == circuit and hash(checked) == hash(circuit) and repr(checked) == repr(circuit)
+    for a, b in ((circuit, checked), (checked, circuit)):
+        restored = pickle.loads(pickle.dumps(a))
+        assert restored == b and hash(restored) == hash(b)
     assert circuit.num_qubits == n
+
+
+@pytest.mark.parametrize("family, n", GENERATOR_SIZES)
+def test_one_qubit_gates_share_one_tuple_per_qubit(family, n):
+    circuit = BenchmarkSpec(family, n, seed=3 if family in STOCHASTIC_FAMILIES else None).build()
+    singles = [q for q in circuit.qubits if len(q) == 1]
+    assert len(set(map(id, singles))) == len(set(singles))
 
 
 class TestBenchmarkSpec:

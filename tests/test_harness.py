@@ -4,6 +4,8 @@ import weakref
 import pytest
 
 from qcoremap import Architecture, BenchmarkSpec, Gate, gen_qft, parse_qasm, serialize_qasm
+from qcoremap import circuit as circuit_module
+from qcoremap import harness
 from qcoremap.harness import (
     CSV_COLUMNS,
     DEFAULT_CORE_SWEEP,
@@ -37,8 +39,39 @@ def test_map_path_keeps_no_gate_alive(mapper):
     path, _elapsed, counts = _run_mapper(circuit, Architecture(10, 12), mapper, True)
     assert counts["num_2q_gates"] == 120 * 119 // 2 + 60
     assert live_gates() == before
-    assert len(circuit.gates) == 7320  # read on request, and only then
-    assert live_gates() == before + 7320
+    assert len(circuit.gates) == 7320  # built on request and not kept
+    assert live_gates() == before
+
+
+@pytest.mark.parametrize("mapper", [MAPPER_HQA, MAPPER_FGP])
+def test_generated_run_keeps_no_gate_alive(mapper, monkeypatch):
+    # run_single generates, slices, maps, validates and counts. The count
+    # is taken in validate_path, while the generated circuit is alive.
+    seen = []
+    validate = harness.validate_path
+
+    def counting(*args):
+        seen.append(live_gates())
+        return validate(*args)
+
+    before = live_gates()
+    monkeypatch.setattr(harness, "validate_path", counting)
+    run_single(BenchmarkSpec("cuccaro", 40), Architecture(4, 10), mapper)
+    assert seen == [before]
+
+
+def test_serializer_builds_no_gate(monkeypatch):
+    def refused(*args):
+        raise AssertionError("serialize_qasm built a Gate")
+
+    generated = BenchmarkSpec("random", 24, seed=5).build()
+    text = serialize_qasm(generated)
+    parsed = parse_qasm(text)
+    before = live_gates()
+    monkeypatch.setattr(circuit_module, "_unchecked_gate", refused)
+    for circuit in (generated, parsed):
+        assert serialize_qasm(circuit) == text
+    assert live_gates() == before
 
 
 class TestRunSingle:

@@ -98,6 +98,19 @@ class TestInteractionGraph:
         assert list(zip(rows.tolist(), cols.tolist())) == [(0, 2), (2, 0)]
         assert (graph[rows, cols] == INFINITE).all()
 
+    @pytest.mark.parametrize(
+        "gates, t",
+        [
+            ((Gate("h", (0,)), cx(0, 1)), 0),
+            ((cx(0, 1), Gate("h", (0,)), Gate("h", (0,))), 0),
+            ((cx(0, 1), Gate("h", (0,)), Gate("h", (0,))), 2),
+        ],
+        ids=["pair-ahead", "slices-ahead-but-no-pair", "last-slice"],
+    )
+    def test_every_branch_returns_float64(self, gates, t):
+        weights = window(timeslice(Circuit(3, gates)), t)
+        assert weights.dtype == np.float64 and weights.shape == (3, 3)
+
     def test_infinite_overrides_future_weight(self, monkeypatch):
         circuit = chain_circuit(4, [[(0, 2)], [(0, 2)]])
         assert window(timeslice(circuit), 0)[0, 2] == 0.5

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .circuit import TimeslicedCircuit
 from .hungarian import solve
 
 
@@ -191,22 +192,31 @@ def count_communications(path: AssignmentPath | Sequence[Assignment]) -> int:
     return total
 
 
-def validate_path(path: AssignmentPath, slicing, arch: Architecture) -> None:
-    """Raise MappingValidationError, naming the slice, unless the path has one
-    assignment per slice and every slice's row places exactly the circuit's
-    qubits (the slicing's ``num_qubits``, which the path must also have) on
-    cores ``0..num_cores-1``, fills no core past its capacity, and puts both
-    qubits of each of the slice's two-qubit gates on one core.
+def validate_path(path: AssignmentPath, sliced: TimeslicedCircuit, arch: Architecture) -> None:
+    """Raise MappingValidationError unless the path's ``num_cores`` and
+    ``capacity`` are the architecture's, its ``num_qubits`` is the circuit's,
+    it has one assignment per slice, and every slice's row places exactly the
+    circuit's qubits on cores ``0..num_cores-1``, fills no core past its
+    capacity, and puts both qubits of each of the slice's two-qubit gates on
+    one core. An error about a row names its slice.
 
-    ``slicing`` is a ``TimeslicedCircuit`` or its ``slices``; both carry
-    ``num_qubits`` and the ``pairs`` arrays, which are all this reads.
+    Of the slicing this reads ``num_qubits`` and the ``pairs`` arrays.
 
     This is the one validity check. A row equal to the previous slice's has
     passed the checks that depend on the row alone, so for it only the
     co-location of the new slice's pairs is checked.
     """
-    num_qubits = slicing.num_qubits
-    pa, pb, offsets = slicing.pairs
+    num_qubits = sliced.num_qubits
+    pa, pb, offsets = sliced.pairs
+    if (path.num_cores, path.capacity) != (arch.num_cores, arch.capacity):
+        raise MappingValidationError(
+            f"path is for {path.num_cores} cores of capacity {path.capacity}, "
+            f"the architecture has {arch.num_cores} of {arch.capacity}"
+        )
+    if not path.assignments and path.num_qubits != num_qubits:
+        raise MappingValidationError(
+            f"path has {path.num_qubits} qubits and the circuit {num_qubits}"
+        )
     if path.num_slices != len(offsets) - 1:
         raise MappingValidationError(
             f"path has {path.num_slices} assignments for {len(offsets) - 1} slices"

@@ -4,6 +4,8 @@ This is the former ``qcoremap.oracle`` dynamic program, kept unchanged as the
 reference that ``tests/test_oracle.py`` compares the grid oracle against. It
 enumerates every capacity-respecting assignment and builds a
 ``states x states`` relocation table, so it only suits the tiniest instances.
+It slices the circuit with ``scalar_reference.asap_slices``, not with
+``timeslice``, so it shares no slicing code with the grid oracle.
 It returns 0 for a circuit with no slices even when the architecture cannot
 hold it; the grid oracle raises there.
 """
@@ -15,8 +17,10 @@ import itertools
 import numpy as np
 
 from qcoremap.assignment import Architecture
-from qcoremap.circuit import Circuit, timeslice
+from qcoremap.circuit import Circuit
 from qcoremap.oracle import OracleInfeasibleError
+
+from scalar_reference import asap_slices
 
 
 def _all_states(num_qubits: int, arch: Architecture, max_states: int) -> np.ndarray:
@@ -48,8 +52,8 @@ def minimum_communications(
 
     The slice-0 assignment is free, matching the mappers' accounting.
     """
-    sliced = timeslice(circuit)
-    if sliced.num_slices == 0:
+    slices = asap_slices(circuit)
+    if not slices:
         return 0
     states = _all_states(circuit.num_qubits, arch, max_states)
     if len(states) == 0:
@@ -63,12 +67,12 @@ def minimum_communications(
             keep &= states[:, a] == states[:, b]
         return np.flatnonzero(keep)
 
-    current = valid_indices(sliced.slices[0])
+    current = valid_indices(slices[0])
     if len(current) == 0:
         raise OracleInfeasibleError("no valid assignment for slice 0")
     cost = np.zeros(len(current), dtype=np.int64)
-    for t in range(1, sliced.num_slices):
-        nxt = valid_indices(sliced.slices[t])
+    for t in range(1, len(slices)):
+        nxt = valid_indices(slices[t])
         if len(nxt) == 0:
             raise OracleInfeasibleError(f"no valid assignment for slice {t}")
         cost = (cost[:, None] + moves[np.ix_(current, nxt)]).min(axis=0)

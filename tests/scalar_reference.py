@@ -1,9 +1,11 @@
-"""Scalar definitions of hqa's placement costs and of the look-ahead weight.
+"""Scalar definitions of hqa's placement costs, of the look-ahead weight and
+of the slicing.
 
 These are the former one-entry-at-a-time functions of ``qcoremap.hqa`` and
 ``qcoremap.lookahead``, kept unchanged as the specification that the
-batched cost matrices and ``window_matrix`` are tested against. No mapper
-calls them.
+batched cost matrices and ``window_matrix`` are tested against, and an ASAP
+slicer over ``Gate`` objects that shares no code with ``timeslice``. No
+mapper calls them.
 """
 
 from __future__ import annotations
@@ -11,10 +13,25 @@ from __future__ import annotations
 from typing import Sequence
 
 from qcoremap.assignment import Assignment
-from qcoremap.circuit import TimeslicedCircuit
+from qcoremap.circuit import Circuit, Gate, TimeslicedCircuit
 from qcoremap.hqa import UnfeasibleOp
 from qcoremap.hungarian import FORBIDDEN
 from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
+
+
+def asap_slices(circuit: Circuit) -> tuple[tuple[Gate, ...], ...]:
+    """The circuit's gates layered as-soon-as-possible, each slice's gates in
+    gate order: slice m is the front layer left once slices 0..m-1 are
+    removed, the gates that no earlier remaining gate shares a qubit with."""
+    remaining, slices = circuit.gates, []
+    while remaining:
+        busy, layer, later = set(), [], []
+        for gate in remaining:
+            (later if busy.intersection(gate.qubits) else layer).append(gate)
+            busy.update(gate.qubits)
+        slices.append(tuple(layer))
+        remaining = later
+    return tuple(slices)
 
 
 def interacting_pairs(gates) -> set[tuple[int, int]]:
@@ -77,9 +94,10 @@ def cost_attraction(
 
 
 def lookahead_weight(
-    sliced: TimeslicedCircuit, t: int, qi: int, qj: int, horizon: int = DEFAULT_HORIZON
+    slices: Sequence[Sequence[Gate]], t: int, qi: int, qj: int, horizon: int = DEFAULT_HORIZON
 ) -> float:
-    """Decayed count of future interactions between qi and qj after slice t.
+    """Decayed count of future interactions between qi and qj after slice t
+    of ``slices`` (each slice's gates, as ``asap_slices`` gives them).
 
     Sums 2**-(m - t) over slices m in (t, t + horizon] where some two-qubit
     gate acts on both qubits.
@@ -88,8 +106,8 @@ def lookahead_weight(
         raise ValueError("look-ahead weight needs two distinct qubits")
     pair = (qi, qj) if qi < qj else (qj, qi)
     total = 0.0
-    t_end = min(sliced.num_slices - 1, t + horizon)
+    t_end = min(len(slices) - 1, t + horizon)
     for m in range(t + 1, t_end + 1):
-        if pair in interacting_pairs(sliced.slices[m]):
+        if pair in interacting_pairs(slices[m]):
             total += 2.0 ** (-(m - t))
     return total

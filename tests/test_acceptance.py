@@ -116,7 +116,7 @@ def test_criterion_2_validity_suite():
                     else:
                         path = fgp_map_circuit(circuit, arch)
                     assert path.num_slices == sliced.num_slices
-                    validate_path(path, sliced.slices, arch)
+                    validate_path(path, sliced, arch)
                     runs += 1
     elapsed = time.perf_counter() - started
     _report(

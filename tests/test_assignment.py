@@ -22,12 +22,16 @@ from qcoremap import (
     Gate,
     MappingValidationError,
     count_communications,
+    fgp_map_circuit,
+    gen_ghz,
     initial_assignment,
+    map_circuit,
     timeslice,
     validate_path,
 )
 
 from conftest import circuits
+from scalar_reference import asap_slices
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_checker", Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
@@ -133,46 +137,44 @@ REUSED = pytest.mark.parametrize(
 
 
 class TestValidatePath:
-    def slices(self, n, *gates):
-        return timeslice(Circuit(n, tuple(gates))).slices
+    def sliced(self, n, *gates):
+        return timeslice(Circuit(n, tuple(gates)))
 
     def test_valid_path_accepted(self):
-        validate_path(path_of((0, 0, 1, 1)), self.slices(4, cx(0, 1)), Architecture(2, 2))
+        validate_path(path_of((0, 0, 1, 1)), self.sliced(4, cx(0, 1)), Architecture(2, 2))
 
     def test_split_pair_rejected(self):
         with pytest.raises(MappingValidationError):
-            validate_path(path_of((0, 1, 0, 1)), self.slices(4, cx(0, 1)), Architecture(2, 2))
+            validate_path(path_of((0, 1, 0, 1)), self.sliced(4, cx(0, 1)), Architecture(2, 2))
 
     def test_short_assignment_rejected(self):
         path = AssignmentPath(4, 2, 2, (Assignment((0, 0)),))
         with pytest.raises(MappingValidationError):
-            validate_path(path, self.slices(4, cx(0, 1)), Architecture(2, 2))
+            validate_path(path, self.sliced(4, cx(0, 1)), Architecture(2, 2))
 
     def test_lifted_core_rejected(self):
         path = path_of((0, 0, -1, -1))
         with pytest.raises(MappingValidationError):
-            validate_path(path, self.slices(4, cx(0, 1)), Architecture(2, 2))
+            validate_path(path, self.sliced(4, cx(0, 1)), Architecture(2, 2))
 
     def test_path_narrower_than_circuit_rejected(self):
         path = AssignmentPath(3, 2, 2, (Assignment((0, 0, 1)),))
         with pytest.raises(MappingValidationError, match="slice 0"):
-            validate_path(path, self.slices(4, cx(2, 3)), Architecture(2, 2))
+            validate_path(path, self.sliced(4, cx(2, 3)), Architecture(2, 2))
 
     def test_one_qubit_gate_beyond_path_rejected(self):
         # Only a one-qubit gate touches the missing qubit 3; the checker
         # rejects this path too ("places 3 of 4 qubits").
         path = AssignmentPath(3, 2, 2, (Assignment((0, 0, 1)),))
         with pytest.raises(MappingValidationError, match="slice 0"):
-            validate_path(path, self.slices(4, cx(0, 1), h(3)), Architecture(2, 2))
+            validate_path(path, self.sliced(4, cx(0, 1), h(3)), Architecture(2, 2))
 
     def test_untouched_qubit_beyond_path_rejected(self):
         # No gate touches the missing qubit 3; the slicing's qubit count
         # still says the row is one qubit short.
         path = AssignmentPath(3, 2, 2, (Assignment((0, 0, 1)),))
-        sliced = timeslice(Circuit(4, (cx(0, 1),)))
-        for slicing in (sliced, sliced.slices):
-            with pytest.raises(MappingValidationError, match="slice 0"):
-                validate_path(path, slicing, Architecture(2, 2))
+        with pytest.raises(MappingValidationError, match="slice 0"):
+            validate_path(path, self.sliced(4, cx(0, 1)), Architecture(2, 2))
 
     def test_row_wider_than_circuit_rejected(self):
         path = AssignmentPath(4, 2, 2, (Assignment((0, 0, 1, 1)),))
@@ -185,24 +187,41 @@ class TestValidatePath:
         # third slice's pair (1, 2) is split, so the check must not be skipped.
         shared = Assignment((0, 0, 1, 1))
         path = AssignmentPath(4, 2, 2, (shared, again(shared), again(shared)))
-        slices = self.slices(4, cx(0, 1), cx(2, 3), cx(1, 0), cx(1, 2))
-        assert len(slices) == 3
+        sliced = self.sliced(4, cx(0, 1), cx(2, 3), cx(1, 0), cx(1, 2))
+        assert sliced.num_slices == 3
         with pytest.raises(MappingValidationError, match="slice 2"):
-            validate_path(path, slices, Architecture(2, 2))
+            validate_path(path, sliced, Architecture(2, 2))
 
     @REUSED
     def test_shared_assignment_accepted(self, again):
         shared = Assignment((0, 0, 1, 1))
         path = AssignmentPath(4, 2, 2, (shared, again(shared)))
-        validate_path(path, self.slices(4, cx(0, 1), cx(1, 0)), Architecture(2, 2))
+        validate_path(path, self.sliced(4, cx(0, 1), cx(1, 0)), Architecture(2, 2))
 
     @REUSED
     def test_over_capacity_caught_after_shared_run(self, again):
         shared = Assignment((0, 0, 1, 1))
         path = AssignmentPath(4, 2, 2, (shared, again(shared), Assignment((0, 0, 0, 1))))
-        slices = self.slices(4, cx(0, 1), cx(1, 0), cx(0, 1))
+        sliced = self.sliced(4, cx(0, 1), cx(1, 0), cx(0, 1))
         with pytest.raises(MappingValidationError, match="slice 2"):
-            validate_path(path, slices, Architecture(2, 2))
+            validate_path(path, sliced, Architecture(2, 2))
+
+    def test_empty_path_with_wrong_qubit_count_rejected(self):
+        # With no slices there is no row to compare, so the header is checked.
+        path = AssignmentPath(5, 2, 2, ())
+        with pytest.raises(MappingValidationError, match="5 qubits and the circuit 3"):
+            validate_path(path, timeslice(Circuit(3, ())), Architecture(2, 2))
+        validate_path(AssignmentPath(3, 2, 2, ()), timeslice(Circuit(3, ())), Architecture(2, 2))
+
+    @pytest.mark.parametrize("mapper", [map_circuit, fgp_map_circuit], ids=["hqa", "fgp"])
+    @pytest.mark.parametrize("num_cores, capacity", [(9, 99), (3, 2), (2, 3)])
+    def test_path_for_another_architecture_rejected(self, mapper, num_cores, capacity):
+        circuit, arch = gen_ghz(4), Architecture(2, 2)
+        path = mapper(circuit, arch)
+        validate_path(path, timeslice(circuit), arch)
+        relabelled = AssignmentPath(path.num_qubits, num_cores, capacity, path.assignments)
+        with pytest.raises(MappingValidationError, match="the architecture has 2 of 2"):
+            validate_path(relabelled, timeslice(circuit), arch)
 
 
 class TestCountCommunications:
@@ -287,7 +306,7 @@ def paths_for(draw, circuit):
     pair or a missing last entry. Some paths also miss or add a slice.
     """
     n = circuit.num_qubits
-    slices = timeslice(circuit).slices
+    slices = asap_slices(circuit)
     capacities = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
     k = len(capacities)
     num_slices = len(slices) + draw(st.sampled_from((0,) * 8 + (-1, 1)))
@@ -332,7 +351,7 @@ class TestAgainstChecker:
             circuit.num_qubits, layers, arch.capacities, [a.core_of for a in path.assignments]
         )
         try:
-            validate_path(path, timeslice(circuit).slices, arch)
+            validate_path(path, timeslice(circuit), arch)
         except MappingValidationError:
             assert problem is not None
         else:

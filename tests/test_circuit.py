@@ -10,6 +10,7 @@ from qcoremap import circuit as circuit_module
 from qcoremap.circuit import _unchecked_gate
 
 from conftest import circuits
+from scalar_reference import asap_slices
 
 
 def cx(a, b):
@@ -86,31 +87,34 @@ class TestSlottedGate:
 
 
 class TestTimeslice:
+    """The slicing invariants, checked on the reference slicer's gate tuples;
+    ``TestSliceArrays`` pins ``timeslice``'s arrays to those tuples."""
+
     def test_dependency_forced_layering(self):
-        sliced = timeslice(Circuit(4, (cx(0, 1), cx(2, 3), cx(1, 2))))
-        assert [[g.qubits for g in s] for s in sliced.slices] == [
+        circuit = Circuit(4, (cx(0, 1), cx(2, 3), cx(1, 2)))
+        assert [[g.qubits for g in s] for s in asap_slices(circuit)] == [
             [(0, 1), (2, 3)],
             [(1, 2)],
         ]
+        assert as_lists(timeslice(circuit)) == (([0, 2, 1], [1, 3, 2], [0, 2, 3]), ([], [0, 0, 0]))
 
     def test_empty_circuit_has_no_slices(self):
+        assert asap_slices(Circuit(3, ())) == ()
         assert timeslice(Circuit(3, ())).num_slices == 0
 
     def test_ghz_serializes_on_shared_control(self):
-        sliced = timeslice(gen_ghz(4))
-        assert sliced.num_slices == 4
-        assert [len(s) for s in sliced.slices] == [1, 1, 1, 1]
+        assert [len(s) for s in asap_slices(gen_ghz(4))] == [1, 1, 1, 1]
+        assert timeslice(gen_ghz(4)).num_slices == 4
 
     @given(circuits())
     def test_slice_disjointness(self, circuit):
-        for s in timeslice(circuit).slices:
+        for s in asap_slices(circuit):
             used = [q for g in s for q in g.qubits]
             assert len(used) == len(set(used))
 
     @given(circuits())
     def test_order_preserved_per_qubit(self, circuit):
-        sliced = timeslice(circuit)
-        flat = [g for s in sliced.slices for g in s]
+        flat = [g for s in asap_slices(circuit) for g in s]
         for q in range(circuit.num_qubits):
             original = [g for g in circuit.gates if q in g.qubits]
             resliced = [g for g in flat if q in g.qubits]
@@ -119,16 +123,17 @@ class TestTimeslice:
     @given(circuits())
     def test_asap_tightness(self, circuit):
         # Every gate in slice s > 0 must conflict with slice s-1.
-        sliced = timeslice(circuit)
-        for s in range(1, sliced.num_slices):
-            prev_qubits = {q for g in sliced.slices[s - 1] for q in g.qubits}
-            for g in sliced.slices[s]:
+        slices = asap_slices(circuit)
+        for s in range(1, len(slices)):
+            prev_qubits = {q for g in slices[s - 1] for q in g.qubits}
+            for g in slices[s]:
                 assert any(q in prev_qubits for q in g.qubits)
 
     @given(circuits())
     def test_gates_conserved(self, circuit):
-        sliced = timeslice(circuit)
-        assert sum(len(s) for s in sliced.slices) == len(circuit.gates)
+        slices = asap_slices(circuit)
+        assert sum(len(s) for s in slices) == len(circuit.gates)
+        assert all(slices) and timeslice(circuit).num_slices == len(slices)
 
 
 class TestSliceCache:
@@ -160,12 +165,12 @@ class TestSliceCache:
         assert timeslice(restored) == timeslice(Circuit(5, circuit.gates))
 
 
-def flattened(sliced):
-    """The slicing's pair and single arrays as lists, rebuilt from its gates
-    slice by slice in gate order."""
+def flattened(slices):
+    """The pair and single arrays of a slicing as lists, built from its
+    slices' gate tuples slice by slice in gate order."""
     a, b, q = [], [], []
     pair_offsets, single_offsets = [0], [0]
-    for gates in sliced.slices:
+    for gates in slices:
         for g in gates:
             if len(g.qubits) == 2:
                 a.append(g.qubits[0])
@@ -192,15 +197,15 @@ class TestSliceArrays:
             density=0.5 if family == "random" else None,
             seed=7 if family in ("quantum_volume", "random") else None,
         )
-        sliced = timeslice(spec.build())
-        assert as_lists(sliced) == flattened(sliced)
+        circuit = spec.build()
+        sliced = timeslice(circuit)
+        assert as_lists(sliced) == flattened(asap_slices(circuit))
         for array in (*sliced.pairs, *sliced.singles):
             assert array.dtype == np.int64
 
     @given(circuits(max_qubits=10, max_gates=60))
     def test_random_gate_lists_match_their_slices(self, circuit):
-        sliced = timeslice(circuit)
-        assert as_lists(sliced) == flattened(sliced)
+        assert as_lists(timeslice(circuit)) == flattened(asap_slices(circuit))
 
     def test_one_read_only_flattening_per_circuit(self, monkeypatch):
         calls = []
@@ -231,12 +236,16 @@ class TestSliceArrays:
             assert as_lists(copied) == as_lists(sliced)
             assert copied == sliced and hash(copied) == hash(sliced) and repr(copied) == repr(sliced)
 
-    def test_equality_hash_and_repr_ignore_the_arrays(self):
-        # Arrays of two or more entries would make == ambiguous and hash
-        # raise, so two slicings with distinct arrays compare only when the
-        # arrays are left out.
+    def test_equality_and_hash_compare_the_arrays(self):
+        # Two slicings with distinct array objects of equal contents are
+        # equal; a slicing that differs only in a pair or a one-qubit gate is
+        # not. repr leaves the arrays out.
         gates = (cx(0, 1), cx(2, 3), h(4), h(5), cx(1, 2))
         sliced, plain = timeslice(Circuit(6, gates)), timeslice(Circuit(6, gates))
         assert sliced.pairs[0] is not plain.pairs[0] and len(sliced.pairs[0]) == 3
         assert sliced == plain and hash(sliced) == hash(plain) and repr(sliced) == repr(plain)
         assert "pairs" not in repr(sliced) and "singles" not in repr(sliced)
+        for other in ((cx(0, 1), cx(2, 3), h(4), h(5), cx(1, 3)), (cx(0, 1), cx(2, 3), h(4), h(0), cx(1, 2))):
+            assert timeslice(Circuit(6, other)).num_slices == sliced.num_slices
+            assert timeslice(Circuit(6, other)) != sliced
+        assert timeslice(Circuit(7, gates)) != sliced

@@ -32,6 +32,7 @@ from qcoremap.fgp import _substitute
 from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
 from conftest import circuits
+from scalar_reference import asap_slices
 
 
 def graph_from_edges(n, edges):
@@ -198,7 +199,7 @@ class TestFgpMapCircuit:
         arch = Architecture(2, 2)
         sliced = timeslice(circuit)
         path = fgp_map_circuit(circuit, arch)
-        validate_path(path, sliced.slices, arch)
+        validate_path(path, sliced, arch)
         assert count_communications(path) >= minimum_communications(circuit, arch)
 
     def test_no_two_qubit_gates_zero_communications(self):
@@ -212,7 +213,7 @@ class TestFgpMapCircuit:
         arch = Architecture(2, 4)
         path = fgp_map_circuit(circuit, arch)
         assert path.num_qubits == 5
-        validate_path(path, timeslice(circuit).slices, arch)
+        validate_path(path, timeslice(circuit), arch)
 
     def test_rows_hold_plain_ints(self):
         # Rows are built unchecked from ``tolist``: a tuple of ints each.
@@ -231,7 +232,7 @@ class TestFgpMapCircuit:
     )
     def test_maps_by_core_capacities(self, circuit, arch):
         path = fgp_map_circuit(circuit, arch)
-        validate_path(path, timeslice(circuit).slices, arch)
+        validate_path(path, timeslice(circuit), arch)
         assert count_communications(path) >= minimum_communications(circuit, arch)
 
     @given(circuits(max_qubits=8, max_gates=24), st.integers(min_value=2, max_value=4))
@@ -243,7 +244,7 @@ class TestFgpMapCircuit:
         sliced = timeslice(circuit)
         path = fgp_map_circuit(circuit, arch)
         assert path.num_slices == sliced.num_slices
-        validate_path(path, sliced.slices, arch)
+        validate_path(path, sliced, arch)
 
 
 def cx(a, b):
@@ -269,7 +270,7 @@ class TestTotalOnFeasibleInput:
         monkeypatch.setattr(fgp, "roee_refine", recording)
         path = fgp_map_circuit(circuit, arch)
         assert refined[0] is None
-        validate_path(path, timeslice(circuit).slices, arch)
+        validate_path(path, timeslice(circuit), arch)
         assert count_communications(path) == minimum_communications(circuit, arch) == 0
 
     def test_too_many_pairs_for_the_cores(self):
@@ -292,7 +293,7 @@ class TestTotalOnFeasibleInput:
         sliced = timeslice(circuit)
         slots = num_cores * (capacity // 2)
         feasible = num_cores * capacity >= circuit.num_qubits and all(
-            sum(1 for g in gates if len(g.qubits) == 2) <= slots for gates in sliced.slices
+            sum(1 for g in gates if len(g.qubits) == 2) <= slots for gates in asap_slices(circuit)
         )
         try:
             path = fgp_map_circuit(circuit, arch)
@@ -300,7 +301,7 @@ class TestTotalOnFeasibleInput:
             assert not feasible
             return
         assert feasible
-        validate_path(path, sliced.slices, arch)
+        validate_path(path, sliced, arch)
 
 
 def reference_fgp_path(circuit, arch):
@@ -312,7 +313,7 @@ def reference_fgp_path(circuit, arch):
     pa, pb, offsets = sliced.pairs
     part = np.asarray(initial_assignment(padded, arch).core_of)
     path = []
-    for t, gates in enumerate(sliced.slices):
+    for t, gates in enumerate(asap_slices(circuit)):
         weights = np.zeros((padded, padded))
         weights[:num_q, :num_q] = window_matrix(num_q, pa, pb, offsets, t, DEFAULT_HORIZON)
         for a, b in (g.qubits for g in gates if len(g.qubits) == 2):

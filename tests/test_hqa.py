@@ -28,7 +28,7 @@ from qcoremap import (
 from qcoremap.hqa import UnfeasibleOp, collect_unfeasible, hqa_step, parity_fix
 
 from conftest import circuits, tiny_instances
-from scalar_reference import attraction_qubit, cost_attraction, cost_basic
+from scalar_reference import asap_slices, attraction_qubit, cost_attraction, cost_basic
 
 
 def cx(a, b):
@@ -167,10 +167,10 @@ class TestParityFix:
             circuit = Circuit(n, circuit.gates)
         arch = Architecture(num_cores, capacity)
         prev = initial_assignment(n, arch)
-        sliced = timeslice(circuit)
-        if sliced.num_slices == 0:
+        slices = asap_slices(circuit)
+        if not slices:
             return
-        gates = sliced.slices[0]
+        gates = slices[0]
         ops = unfeasible(prev, gates)
         if not ops:
             return
@@ -192,10 +192,10 @@ class TestParityFix:
         core_of = data.draw(st.permutations(slots))[:n]
         prev = Assignment(tuple(core_of))
         circuit = data.draw(circuits(max_qubits=n, max_gates=12))
-        sliced = timeslice(Circuit(n, circuit.gates))
-        if sliced.num_slices == 0:
+        slices = asap_slices(Circuit(n, circuit.gates))
+        if not slices:
             return
-        gates = sliced.slices[0]
+        gates = slices[0]
         ops = unfeasible(prev, gates)
         args = (*slice_pairs(gates), one_qubit(gates), len(caps))
         assert parity_fix(ops, prev, *args) == parity_fix_per_core_scan(ops, prev, *args)
@@ -334,7 +334,7 @@ class TestCostMatrixConsistency:
         instances += tiny_instances()[:150]
         later_rounds = after_eviction = 0
         for circuit, arch in instances:
-            sliced = timeslice(circuit)
+            sliced, slices = timeslice(circuit), asap_slices(circuit)
             for attraction in (False, True):
                 events.clear()
                 try:
@@ -344,7 +344,7 @@ class TestCostMatrixConsistency:
                 for kind, *data in events:
                     if kind == "step":
                         prev, t = data
-                        gates = sliced.slices[t + 1]
+                        gates = slices[t + 1]
                         ops = unfeasible(prev, gates)
                         ops = fix(ops, prev, gates, arch.num_cores) if ops else ops
                         residency = list(prev.core_of)
@@ -381,7 +381,7 @@ class TestHqaStep:
         result = hqa_step(BLOCK_2X2, sliced, -1, arch, HqaConfig(use_attraction=False))
         assert result.core_of == (1, 0, 0, 1)
         assert count_communications([BLOCK_2X2, result]) == 2
-        validate_path(AssignmentPath(4, 2, 2, (result,)), sliced.slices, arch)
+        validate_path(AssignmentPath(4, 2, 2, (result,)), sliced, arch)
 
     def test_no_unfeasible_ops_returns_prev(self):
         sliced = timeslice(Circuit(4, (cx(0, 1),)))
@@ -395,7 +395,7 @@ class TestHqaStep:
         result = hqa_step(prev, sliced, -1, arch, HqaConfig(use_attraction=False))
         # Rounds: [(0,4),(1,5)] then [(2,6),(3,7)-auxiliary]; home cores win ties.
         assert result.core_of == (0, 1, 0, 1, 0, 1, 0, 1)
-        validate_path(AssignmentPath(8, 2, 4, (result,)), sliced.slices, arch)
+        validate_path(AssignmentPath(8, 2, 4, (result,)), sliced, arch)
 
 
     def test_result_holds_plain_ints(self, monkeypatch):
@@ -439,7 +439,7 @@ class TestMapCircuit:
         sliced = timeslice(circuit)
         for attraction in (False, True):
             path = map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
-            validate_path(path, sliced.slices, arch)
+            validate_path(path, sliced, arch)
             comms = count_communications(path)
             assert comms >= minimum_communications(circuit, arch)
             assert comms >= 2
@@ -469,7 +469,7 @@ class TestMapCircuit:
         circuit = Circuit(8, (cx(0, 7), cx(2, 5)))
         sliced = timeslice(circuit)
         path = map_circuit(circuit, arch, HqaConfig(use_attraction=False))
-        validate_path(path, sliced.slices, arch)
+        validate_path(path, sliced, arch)
 
     @given(circuits(max_qubits=8, max_gates=24), st.integers(min_value=2, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -481,7 +481,7 @@ class TestMapCircuit:
         for attraction in (False, True):
             path = map_circuit(circuit, arch, HqaConfig(use_attraction=attraction))
             assert path.num_qubits == circuit.num_qubits
-            validate_path(path, sliced.slices, arch)
+            validate_path(path, sliced, arch)
 
     @given(circuits(max_qubits=6, max_gates=14))
     @settings(max_examples=40, deadline=None)
@@ -489,14 +489,14 @@ class TestMapCircuit:
         # Per transition: untouched qubits stay put and both endpoints of every
         # operation land together, so relocations = endpoints leaving home.
         arch = Architecture(2, (circuit.num_qubits + 3) // 2 // 2 * 2 + 2)
-        sliced = timeslice(circuit)
+        slices = asap_slices(circuit)
         path = map_circuit(circuit, arch, HqaConfig(use_attraction=False))
         assignments = (initial_assignment(circuit.num_qubits, arch),) + path.assignments
         for t in range(len(assignments) - 1):
             before, after = assignments[t], assignments[t + 1]
-            ops = unfeasible(before, sliced.slices[t])
+            ops = unfeasible(before, slices[t])
             if ops:
-                ops = fix(ops, before, sliced.slices[t], arch.num_cores)
+                ops = fix(ops, before, slices[t], arch.num_cores)
             touched = {q for op in ops for q in op.qubits}
             expected_moves = 0
             for q in range(circuit.num_qubits):
@@ -520,7 +520,7 @@ class TestTotalOnFeasibleInput:
         circuit = Circuit(3, (cx(2, 1), cx(1, 0)))
         arch = Architecture(2, 2, core_capacities=(2, 1))
         path = map_circuit(circuit, arch)
-        validate_path(path, timeslice(circuit).slices, arch)
+        validate_path(path, timeslice(circuit), arch)
         assert count_communications(path) >= 2
         assert count_communications(path) >= minimum_communications(circuit, arch)
 
@@ -579,7 +579,7 @@ class TestTotalOnFeasibleInput:
         sliced = timeslice(circuit)
         slots = sum(c // 2 for c in caps)
         feasible = sum(caps) >= circuit.num_qubits and all(
-            sum(1 for g in gates if len(g.qubits) == 2) <= slots for gates in sliced.slices
+            sum(1 for g in gates if len(g.qubits) == 2) <= slots for gates in asap_slices(circuit)
         )
         mappers = (
             lambda c, a: map_circuit(c, a, HqaConfig(use_attraction=attraction)),
@@ -592,7 +592,7 @@ class TestTotalOnFeasibleInput:
                 assert not feasible
                 continue
             assert feasible
-            validate_path(path, sliced.slices, arch)
+            validate_path(path, sliced, arch)
 
 
 class TestPinnedTinyPaths:

@@ -8,8 +8,6 @@ order, so results must be bit-identical wherever the arithmetic is exact, as
 on the dyadic weights the mappers produce; on rounded real costs the Hungarian
 matchings must still agree."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,15 +278,14 @@ def test_hungarian_kernels_match_array_reference_on_hqa_matrices(circuit, monkey
         assert_hungarian_matches_reference(m)
 
 
-def scalar_window(sliced, t, horizon):
+def scalar_window(n, slices, t, horizon):
     """The look-ahead matrix entry by entry from lookahead_weight."""
-    n = sliced.num_qubits
     spec = np.zeros((n, n))
-    last = min(sliced.num_slices - 1, t + horizon)
+    last = min(len(slices) - 1, t + horizon)
     pair_set = scalar_reference.interacting_pairs
-    support = set().union(*(pair_set(sliced.slices[m]) for m in range(t + 1, last + 1)))
+    support = set().union(*(pair_set(slices[m]) for m in range(t + 1, last + 1)))
     for a, b in support:
-        spec[a, b] = spec[b, a] = scalar_reference.lookahead_weight(sliced, t, a, b, horizon)
+        spec[a, b] = spec[b, a] = scalar_reference.lookahead_weight(slices, t, a, b, horizon)
     return spec
 
 
@@ -306,12 +303,11 @@ def scalar_window(sliced, t, horizon):
 def test_window_matrix_matches_scalar_definition(circuit, monkeypatch):
     # Pairs outside the window's support have weight 0 by definition, so
     # only the support is evaluated; each slice's pair set is computed once
-    # so that the scalar definition runs at n = 120.
-    # The slicing's view builds a new gate tuple on every read, so the scalar
-    # side reads a copy whose slices are stored tuples and keep their ids.
+    # so that the scalar definition runs at n = 120. The scalar side reads
+    # the reference slicer's gate tuples, which keep their ids.
     sliced = timeslice(circuit)
-    stored = dataclasses.replace(sliced, slices=tuple(sliced.slices))
-    pair_sets = {id(gates): scalar_reference.interacting_pairs(gates) for gates in stored.slices}
+    slices = scalar_reference.asap_slices(circuit)
+    pair_sets = {id(gates): scalar_reference.interacting_pairs(gates) for gates in slices}
     monkeypatch.setattr(
         scalar_reference, "interacting_pairs", lambda gates: pair_sets[id(gates)]
     )
@@ -319,4 +315,4 @@ def test_window_matrix_matches_scalar_definition(circuit, monkeypatch):
     for horizon in (1, 4, 32):
         for t in range(-1, sliced.num_slices):
             window = window_matrix(sliced.num_qubits, pa, pb, offsets, t, horizon)
-            assert window.tobytes() == scalar_window(stored, t, horizon).tobytes()
+            assert window.tobytes() == scalar_window(sliced.num_qubits, slices, t, horizon).tobytes()

@@ -8,7 +8,7 @@ from qcoremap import fgp
 from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
 from conftest import circuits
-from scalar_reference import lookahead_weight
+from scalar_reference import asap_slices, lookahead_weight
 
 
 def cx(a, b):
@@ -34,6 +34,10 @@ def chain(n, pairs):
     return timeslice(chain_circuit(n, pairs))
 
 
+def chain_slices(n, pairs):
+    return asap_slices(chain_circuit(n, pairs))
+
+
 def window(sliced, t, horizon=DEFAULT_HORIZON):
     return window_matrix(sliced.num_qubits, *sliced.pairs, t, horizon)
 
@@ -55,26 +59,26 @@ def refined_graphs(circuit, arch, monkeypatch):
 
 class TestLookaheadWeight:
     def test_single_interaction_next_slice(self):
-        sliced = chain(4, [[], [(0, 1)]])
-        assert lookahead_weight(sliced, 0, 0, 1) == 0.5
+        slices = chain_slices(4, [[], [(0, 1)]])
+        assert lookahead_weight(slices, 0, 0, 1) == 0.5
 
     def test_two_interactions(self):
-        sliced = chain(4, [[], [(0, 1)], [], [(0, 1)]])
-        assert lookahead_weight(sliced, 0, 0, 1) == 0.625
+        slices = chain_slices(4, [[], [(0, 1)], [], [(0, 1)]])
+        assert lookahead_weight(slices, 0, 0, 1) == 0.625
 
     def test_no_future_interaction(self):
-        sliced = chain(4, [[], [(2, 3)]])
-        assert lookahead_weight(sliced, 0, 0, 1) == 0.0
+        slices = chain_slices(4, [[], [(2, 3)]])
+        assert lookahead_weight(slices, 0, 0, 1) == 0.0
 
     def test_horizon_truncates(self):
-        sliced = chain(2, [[]] + [[]] * 5 + [[(0, 1)]])
-        assert lookahead_weight(sliced, 0, 0, 1, horizon=3) == 0.0
-        assert lookahead_weight(sliced, 0, 0, 1, horizon=6) == 2.0**-6
+        slices = chain_slices(2, [[]] + [[]] * 5 + [[(0, 1)]])
+        assert lookahead_weight(slices, 0, 0, 1, horizon=3) == 0.0
+        assert lookahead_weight(slices, 0, 0, 1, horizon=6) == 2.0**-6
 
     def test_same_qubit_rejected(self):
-        sliced = chain(2, [[]])
+        slices = chain_slices(2, [[]])
         with pytest.raises(ValueError):
-            lookahead_weight(sliced, 0, 1, 1)
+            lookahead_weight(slices, 0, 1, 1)
 
 
 class TestInteractionGraph:
@@ -135,14 +139,15 @@ class TestProperties:
         if sliced.num_slices == 0:
             return
         weights = window(sliced, 0)
+        slices = asap_slices(circuit)
         for qi in range(circuit.num_qubits):
             for qj in range(qi + 1, circuit.num_qubits):
-                assert weights[qi, qj] == lookahead_weight(sliced, 0, qi, qj)
+                assert weights[qi, qj] == lookahead_weight(slices, 0, qi, qj)
                 assert weights[qi, qj] == weights[qj, qi]
 
     def test_monotone_in_added_interactions(self):
-        base = chain(4, [[], [(0, 1)], []])
-        more = chain(4, [[], [(0, 1)], [(0, 1)]])
+        base = chain_slices(4, [[], [(0, 1)], []])
+        more = chain_slices(4, [[], [(0, 1)], [(0, 1)]])
         assert lookahead_weight(more, 0, 0, 1) > lookahead_weight(base, 0, 0, 1)
 
     @given(
@@ -155,21 +160,21 @@ class TestProperties:
         more_pairs = [list(s) for s in base_pairs]
         if extra_slice < len(more_pairs):
             more_pairs[extra_slice] = [(0, 1)]
-        base = chain(2, [[]] + base_pairs)
-        more = chain(2, [[]] + more_pairs)
+        base = chain_slices(2, [[]] + base_pairs)
+        more = chain_slices(2, [[]] + more_pairs)
         assert lookahead_weight(more, 0, 0, 1) >= lookahead_weight(base, 0, 0, 1)
 
     def test_truncation_error_bounded(self):
         # All interactions beyond the horizon sum to less than 2**-horizon.
-        sliced = chain(2, [[]] + [[(0, 1)]] * 40)
+        slices = chain_slices(2, [[]] + [[(0, 1)]] * 40)
         for horizon in (4, 8, 16):
-            full = lookahead_weight(sliced, 0, 0, 1, horizon=60)
-            cut = lookahead_weight(sliced, 0, 0, 1, horizon=horizon)
+            full = lookahead_weight(slices, 0, 0, 1, horizon=60)
+            cut = lookahead_weight(slices, 0, 0, 1, horizon=horizon)
             assert 0 <= full - cut < 2.0**-horizon
 
     def test_weights_are_exact_dyadics(self):
-        sliced = chain(4, [[], [(0, 1)], [(0, 1)], [(0, 1)]])
-        w = lookahead_weight(sliced, 0, 0, 1)
+        slices = chain_slices(4, [[], [(0, 1)], [(0, 1)], [(0, 1)]])
+        w = lookahead_weight(slices, 0, 0, 1)
         assert w == 0.5 + 0.25 + 0.125  # exact float arithmetic on dyadics
 
     def test_default_horizon_reproduces_unbounded_mapper_decisions(self, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from qcoremap import (
     Architecture,
+    Assignment,
+    AssignmentPath,
     Circuit,
     Gate,
     CapacityError,
@@ -31,7 +34,7 @@ from qcoremap import fgp
 from qcoremap.fgp import _substitute
 from qcoremap.lookahead import DEFAULT_HORIZON, window_matrix
 
-from conftest import circuits
+from conftest import circuits, tiny_instances
 from scalar_reference import asap_slices
 
 
@@ -351,3 +354,173 @@ class TestValidSliceSkip:
             arch = Architecture(cores, capacity)
         got = [a.core_of for a in fgp_map_circuit(circuit, arch).assignments]
         assert got == reference_fgp_path(circuit, arch)
+
+
+def dummy_refine_instance(rng, m, sizes, num_pairs):
+    """Dyadic weights over m qubits with num_pairs disjoint infinite pairs,
+    and a shuffled start over parts of the given sizes, whose slots from m
+    on are dummies."""
+    weights = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, m)) * (rng.random((m, m)) < 0.25)
+    weights = np.triu(weights, k=1)
+    weights += weights.T
+    order = rng.permutation(m)
+    for i in range(num_pairs):
+        a, b = order[2 * i], order[2 * i + 1]
+        weights[a, b] = weights[b, a] = INFINITE
+    part = np.repeat(np.arange(len(sizes)), sizes).astype(np.int64)
+    rng.shuffle(part)
+    return weights, part
+
+
+def padded(weights, slots):
+    """The weights over every slot: the dummies' rows and columns are 0."""
+    full = np.zeros((slots, slots))
+    full[: len(weights), : len(weights)] = weights
+    return full
+
+
+class TestDummyReduction:
+    """``roee_refine`` takes weights over the circuit's qubits and a start
+    over every slot; it must return what the refinement of the zero-padded
+    weights returns, which is the no-dummy case of the same function."""
+
+    def test_matches_padded_refinement(self, monkeypatch):
+        # Passes that run out pair the leftover dummies; count those pairings
+        # so that the instances are known to reach them.
+        pairings = [0]
+        pair_dummies = fgp._pair_dummies
+
+        def counting(part, free):
+            rest = pair_dummies(part, free)
+            pairings[0] += len(free) - len(rest)
+            return rest
+
+        monkeypatch.setattr(fgp, "_pair_dummies", counting)
+        rng = np.random.default_rng(29)
+        outcomes = set()
+        for _ in range(400):
+            k = int(rng.integers(2, 9))
+            sizes = rng.integers(1, 5, size=k)
+            n = int(sizes.sum())
+            m = int(rng.integers(2, n + 1))
+            weights, part = dummy_refine_instance(rng, m, sizes, int(rng.integers(1, m // 2 + 1)))
+            got = roee_refine(weights, part)
+            want = roee_refine(padded(weights, n), part)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+            outcomes.add(got is None)
+        assert outcomes == {False, True}
+        assert pairings[0] > 0
+
+    def test_wider_weights_than_slots_rejected(self):
+        with pytest.raises(ValueError, match="5 qubits for a partition of 4 slots"):
+            roee_refine(np.zeros((5, 5)), [0, 0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "cores,capacity", [(3, 8), (5, 4), (2, 13), (4, (7, 5, 3, 6))], ids=str
+    )
+    def test_weights_are_the_circuits_width(self, cores, capacity, monkeypatch):
+        widths = []
+
+        def recording(weights, initial):
+            widths.append((weights.shape, len(initial)))
+            return roee_refine(weights, initial)
+
+        monkeypatch.setattr(fgp, "roee_refine", recording)
+        arch = arch_of(cores, capacity)
+        fgp_map_circuit(gen_qft(16), arch)
+        assert widths
+        assert set(widths) == {((16, 16), arch.total_capacity)}
+
+    def test_tiny_instances_match_padded_reference(self):
+        compared = partly_filled = 0
+        for circuit, arch in tiny_instances():
+            try:
+                want = reference_fgp_path(circuit, arch)
+            except (CapacityError, TypeError):
+                continue  # too many qubits, or a slice the reference cannot refine
+            got = fgp_map_circuit(circuit, arch)
+            assert [a.core_of for a in got.assignments] == want
+            compared += 1
+            partly_filled += circuit.num_qubits < arch.total_capacity
+        assert compared >= 300 and partly_filled >= 250
+
+    @pytest.mark.parametrize("family", range(5))
+    @pytest.mark.parametrize(
+        "cores,capacity", [(3, 8), (5, 4), (4, (7, 5, 3, 6))], ids=str
+    )
+    def test_partly_filled_circuits_match_padded_reference(self, family, cores, capacity):
+        circuit = [
+            gen_qft(16),
+            gen_cuccaro(7),
+            gen_quantum_volume(16, 6, seed=5),
+            gen_random(16, cycles=10, p=0.5, seed=6),
+            gen_grover(10, 1),
+        ][family]
+        arch = arch_of(cores, capacity)
+        assert circuit.num_qubits < arch.total_capacity
+        got = [a.core_of for a in fgp_map_circuit(circuit, arch).assignments]
+        assert got == reference_fgp_path(circuit, arch)
+
+    def test_qft40_on_100_cores_allocates_no_padded_matrix(self):
+        # One padded float64 matrix over the 2,000 slots is 32 MB.
+        tracemalloc.start()
+        try:
+            path = fgp_map_circuit(gen_qft(40), Architecture(100, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        validate_path(path, timeslice(gen_qft(40)), Architecture(100, 20))
+        assert peak < 4 * 2**20
+
+
+def arch_of(cores, capacity):
+    if isinstance(capacity, tuple):
+        return Architecture(cores, max(capacity), core_capacities=capacity)
+    return Architecture(cores, capacity)
+
+
+def refined_slices(circuit, arch, monkeypatch):
+    """fgp's path and the number of slices it refined or re-placed."""
+    calls = [0]
+
+    def counting(weights, initial):
+        calls[0] += 1
+        return roee_refine(weights, initial)
+
+    monkeypatch.setattr(fgp, "roee_refine", counting)
+    return fgp_map_circuit(circuit, arch), calls[0]
+
+
+class TestSharedRows:
+    """A slice whose pairs the incoming partition co-locates shares the
+    previous slice's row object; every refined or re-placed slice builds one."""
+
+    @pytest.mark.parametrize("index", range(len(TestValidSliceSkip.CIRCUITS)))
+    @pytest.mark.parametrize("cores,capacity", [(2, 6), (3, 4), (3, 6), (3, (4, 6, 2))], ids=str)
+    def test_skipped_slices_share_the_previous_row(self, index, cores, capacity, monkeypatch):
+        circuit = TestValidSliceSkip.CIRCUITS[index]
+        arch = arch_of(cores, capacity)
+        path, refined = refined_slices(circuit, arch, monkeypatch)
+        rows = path.assignments
+        start = initial_assignment(circuit.num_qubits, arch).core_of
+        skipped = []
+        for t, gates in enumerate(asap_slices(circuit)):
+            before = rows[t - 1].core_of if t else start
+            pairs = [g.qubits for g in gates if len(g.qubits) == 2]
+            skipped.append(all(before[a] == before[b] for a, b in pairs))
+            if t and skipped[t]:
+                assert rows[t] is rows[t - 1]
+            elif t:
+                assert rows[t] is not rows[t - 1]
+        assert refined == skipped.count(False)
+        assert len({id(row) for row in rows}) == refined + skipped[0]
+
+        reference = AssignmentPath(
+            circuit.num_qubits,
+            arch.num_cores,
+            arch.capacity,
+            tuple(map(Assignment, reference_fgp_path(circuit, arch))),
+        )
+        assert path.to_json() == reference.to_json()

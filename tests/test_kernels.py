@@ -130,18 +130,23 @@ def test_refine_matches_loops_on_mapper_graphs(k, monkeypatch):
 
 @pytest.mark.parametrize("index", range(4))
 def test_refine_matches_loops_on_dummy_padded_graphs(index, monkeypatch):
-    # 12 qubits on 3 x 6: six zero-weight dummy slots pad each graph.
+    # 12 qubits on 3 x 6: six zero-weight dummy slots.
     circuit = [
         gen_qft(12),
         gen_cuccaro(5),
         gen_quantum_volume(12, 6, seed=3),
         gen_random(12, cycles=10, p=0.5, seed=4),
     ][index]
+    # fgp hands roee_refine the 12 qubits' weights; the loop reference runs
+    # on the same weights zero-padded to every slot.
     inputs = refine_inputs(circuit, Architecture(3, 6), monkeypatch)
     assert len(inputs) >= 3
     for weights, initial in inputs:
-        assert weights.shape == (18, 18)
-        assert_refine_matches_loops(weights, initial)
+        assert weights.shape == (12, 12) and initial.shape == (18,)
+        full = np.zeros((18, 18))
+        full[:12, :12] = weights
+        got = refine_outcome(roee_refine, weights, initial)
+        assert got == refine_outcome(roee_refine_loops, full, initial)
 
 
 @settings(max_examples=300, deadline=None)

@@ -169,11 +169,13 @@ class _Program:
 
     def lines(self, text: str, first_line: int) -> None:
         """Parse ``text``, whole lines of which the first is ``first_line``:
-        each run of canonical gate lines through the lane when it passes,
-        every other line through the statement path."""
+        each run of canonical gate lines through the lane, but for the rows
+        of a refused run that fail a check, and every other line through the
+        statement path, in line order."""
         lines = text.split("\n")
         flat = _ROWS.split(text)
-        names, params, first, second = flat[1::5], flat[2::5], flat[3::5], flat[4::5]
+        columns = flat[1::5], flat[2::5], flat[3::5], flat[4::5]
+        names = columns[0]
         start = 0
         other = map(operator.not_, map(_ARITY.__contains__, names))
         for stop in [*compress(range(len(names)), other), len(names)]:
@@ -181,10 +183,16 @@ class _Program:
             if start < stop and self.pending:
                 self.line(lines[start], first_line + start)  # completes the continuation
                 start += 1
-            run = (names[start:stop], params[start:stop], first[start:stop], second[start:stop])
+            run = [column[start:stop] for column in columns]
             if start < stop and not self.run(*run):
-                for i in range(start, stop):
-                    self.line(lines[i], first_line + i)
+                # Only the refused rows take the statement path; the rows
+                # between them pass every check of the lane.
+                for bad in [*map(start.__add__, self.refused(*run)), stop]:
+                    if start < bad:
+                        self.run(*[column[start:bad] for column in columns])
+                    if bad < stop:
+                        self.line(lines[bad], first_line + bad)
+                    start = bad + 1
             if stop < len(names):
                 self.line(lines[stop], first_line + stop)
             start = stop + 1
@@ -192,26 +200,14 @@ class _Program:
     def run(self, names, params, first, second) -> bool:
         """Append a run of canonical gate lines, given as the columns of its
         rows and each naming a supported gate, to the gate columns. False,
-        with nothing appended, when a line fails a check; the caller then
-        hands the run to the statement path. Gates that repeat a parameter
-        text share its tuple, and one-qubit gates on one qubit share theirs."""
+        with nothing appended, when a line fails a check; ``refused`` then
+        names those lines. Gates that repeat a parameter text share its
+        tuple, and one-qubit gates on one qubit share theirs."""
         values, index = self.values, self.index
-        try:
-            for text in set(params).difference(values):
-                value = tuple(map(float, text.split(",")))
-                if not all(map(math.isfinite, value)):
-                    return False
-                values[text] = value
-        except ValueError:
+        if not all(map(self._value, set(params).difference(values))):
             return False
-        for operand in set(first).union(second).difference(index):
-            reg, digits = operand[:-1].split("[")
-            register = self.qregs.get(reg)
-            i = int(digits)
-            if register is None or i >= register[1]:
-                return False
-            q = index[operand] = register[0] + i
-            self.singles[q, None] = (q,)
+        if not all(map(self._operand, set(first).union(second).difference(index))):
+            return False
         a = list(map(index.__getitem__, first))
         b = list(map(index.__getitem__, second))
         if any(map(operator.eq, a, b)):
@@ -226,6 +222,51 @@ class _Program:
         self.labels.extend(map(_LABELS.__getitem__, names))
         self.qubits.extend(qubits)
         self.params.extend(param_col)
+        return True
+
+    def refused(self, names, params, first, second) -> list[int]:
+        """The rows, ascending, of a run that ``run`` refused that fail one of
+        its checks: a parameter text that is not finite decimal numerals, an
+        operand outside the declared registers, a pair on one qubit, or the
+        wrong number of operands or parameters for the gate."""
+        values, index = self.values, self.index
+        for text in set(params).difference(values):
+            self._value(text)
+        for operand in set(first).union(second).difference(index):
+            self._operand(operand)
+        return [
+            row
+            for row, (name, text, x, y) in enumerate(zip(names, params, first, second))
+            if text not in values
+            or x not in index
+            or y not in index
+            or index[x] == index[y]
+            or (1 if y is None else 2) != _ARITY[name]
+            or len(values[text]) != _PARAM_COUNTS[name]
+        ]
+
+    def _value(self, text: str) -> bool:
+        """Record a parameter text's values; False when it is not finite
+        decimal numerals."""
+        try:
+            value = tuple(map(float, text.split(",")))
+        except ValueError:
+            return False
+        if not all(map(math.isfinite, value)):
+            return False
+        self.values[text] = value
+        return True
+
+    def _operand(self, operand: str) -> bool:
+        """Record an operand's qubit; False when its register is not declared
+        or its index is out of range."""
+        reg, digits = operand[:-1].split("[")
+        register = self.qregs.get(reg)
+        i = int(digits)
+        if register is None or i >= register[1]:
+            return False
+        q = self.index[operand] = register[0] + i
+        self.singles[q, None] = (q,)
         return True
 
     def line(self, raw: str, lineno: int) -> None:

@@ -325,6 +325,15 @@ EDGE_CASES = [
     "qreg q[2];\nh q[1];\nrz() q[0];\nh q[1];",
     "qreg q[2];\nh q[0];\nrz(1e999) q[1];\nh q[1];",
     "qreg q[2];\nh q[0];\nu3(0,-1e999,1) q[1];\nh q[1];",
+    # Valid lines the lane refuses, at the start, middle and end of a run,
+    # two adjacent, and next to lines that fail every check.
+    "qreg q[3];\nh() q[0];\ncx q[0],q[1];\nh q[2];",
+    "qreg q[3];\ncx q[0],q[1];\nh() q[2];\nrz(0.5) q[1];",
+    "qreg q[3];\ncx q[0],q[1];\nh q[2];\ncx() q[1],q[2];",
+    "qreg q[3];\nh q[0];\nh() q[1];\ncx() q[1],q[2];\nh q[2];",
+    "qreg q[3];\nh() q[0];\ncx q[0],q[1];\nh q[5];\nh() q[1];",
+    "qreg q[2];\nh q[0];\nh() q[1];\nrz(1e999) q[0];\nh q[1];",
+    "qreg q[2];\nh() q[1];\nrz(pi) q[0];\ncx q[0],q[0];\nh q[1];",
     *NAMED_CASES.values(),
 ]
 
@@ -370,6 +379,34 @@ class TestAgreesWithReference:
         circuit = BenchmarkSpec("random", 12, cycles=4, density=0.5, seed=3).build()
         assert parse_qasm(serialize_qasm(circuit)) == circuit
         assert [(len(rows), verdict) for rows, verdict in verdicts] == [(len(circuit.gates), True)]
+
+    def test_only_refused_lines_take_the_statement_path(self, monkeypatch):
+        # A line the lane refuses (``h()``/``cx()``, valid but not canonical)
+        # at the start, in the middle and at the end of a run, and two
+        # adjacent: the statement path parses those lines and no others.
+        calls = [0]
+        line = qasm_module._Program.line
+
+        def counting(program, raw, lineno):
+            calls[0] += 1
+            return line(program, raw, lineno)
+
+        monkeypatch.setattr(qasm_module._Program, "line", counting)
+        circuit = BenchmarkSpec("random", 12, cycles=4, density=0.5, seed=3).build()
+        lines = serialize_qasm(circuit).split("\n")
+        parse_qasm("\n".join(lines))
+        clean = calls[0]
+        head = lines.index("qreg q[12];") + 1
+        refused = {head: "h() q[0];", head + 20: "cx() q[3],q[4];", head + 21: "h() q[5];"}
+        refused[len(lines) - 1] = "h() q[11];"  # after the last gate, before the final ""
+        for i in sorted(refused, reverse=True):
+            lines.insert(i, refused[i])
+        text = "\n".join(lines)
+        calls[0] = 0
+        parsed = parse_qasm(text)
+        assert calls[0] == clean + len(refused)
+        assert_parses_like_reference(text)
+        assert len(parsed.labels) == len(circuit.labels) + len(refused)
 
     @pytest.mark.parametrize("family", ["ghz", "cuccaro", "qft", "quantum_volume", "grover", "random"])
     def test_every_generator(self, family):

@@ -14,12 +14,15 @@ Each run of canonical gate lines that starts no earlier statement's
 continuation is checked as columns: every gate's arity and parameter count,
 every parameter a plain decimal numeral of finite value, every register
 declared and index in range, and the two qubits of a pair distinct. A run
-that passes is appended to the columns, with ``float`` for each parameter. A
-run that fails any check, and every other line (headers, declarations,
-``barrier``, comments, several statements on a line, a statement split
-across lines, ``pi`` expressions), goes line by line through the statement
-path, so every error message, line and column comes from the statement path.
-Lines are numbered as ``str.splitlines`` splits them.
+that passes is appended to the columns, with ``float`` for each parameter.
+In a run that fails, the same checks, made per parameter text, per operand
+and per row, name the lines that fail them; only those lines take the
+statement path, and the lines between them are appended as runs. Every
+other line (headers, declarations, ``barrier``, comments, several statements
+on a line, a statement split across lines, ``pi`` expressions) also goes
+through the statement path, in line order, so every error message, line and
+column comes from the statement path. Lines are numbered as
+``str.splitlines`` splits them.
 """
 
 from __future__ import annotations

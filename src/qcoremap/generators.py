@@ -8,6 +8,9 @@ Each family appends its gates to a circuit's three columns through
 ``_Columns`` and builds no ``Gate``: every family emits distinct,
 non-negative qubit indices by construction, and the circuit each generator
 returns is bounded by ``n`` through the same check as every other circuit.
+A parameter tuple is stored as the family passes it, so gates that repeat an
+angle can share one tuple, as QFT's controlled phases at one qubit distance
+do; the serializer then writes that tuple's text once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ _TWO_PI = 2.0 * math.pi
 class _Columns:
     """A circuit's label, qubit and parameter columns on ``num_qubits``
     qubits, appended gate by gate. The one-qubit gates on qubit q share one
-    ``(q,)`` tuple, as a parsed circuit's do."""
+    ``(q,)`` tuple, as a parsed circuit's do. ``g1`` and ``g2`` store the
+    parameter tuple they are given, so a caller that passes one tuple to
+    several gates has them share it."""
 
     __slots__ = ("num_qubits", "labels", "qubits", "params", "_single")
 
@@ -39,12 +44,12 @@ class _Columns:
         self.params: list[tuple[float, ...]] = []
         self._single = [(q,) for q in range(num_qubits)]
 
-    def g1(self, label: str, q: int, *params: float):
+    def g1(self, label: str, q: int, params: tuple[float, ...] = ()):
         self.labels.append(label)
         self.qubits.append(self._single[q])
         self.params.append(params)
 
-    def g2(self, label: str, a: int, b: int, *params: float):
+    def g2(self, label: str, a: int, b: int, params: tuple[float, ...] = ()):
         self.labels.append(label)
         self.qubits.append((a, b))
         self.params.append(params)
@@ -86,14 +91,21 @@ def gen_ghz(n: int) -> Circuit:
 
 
 def gen_qft(n: int) -> Circuit:
-    """Textbook Fourier transform: h + controlled-phase fan per qubit, final swap network."""
+    """Textbook Fourier transform: h + controlled-phase fan per qubit, final swap network.
+
+    The controlled phase between qubits i < j is ``pi / 2**(j - i)``, taken
+    as ``math.ldexp(math.pi, i - j)``: the same float for every distance up
+    to 1023, and past that a subnormal, then 0.0, where ``2**(j - i)`` would
+    overflow a float. Every ``cp`` at one distance shares one ``(angle,)``.
+    """
     if n < 1:
         raise ValueError(f"QFT needs at least 1 qubit, got {n}")
     out = _Columns(n)
+    angles = [(math.ldexp(math.pi, -d),) for d in range(n)]
     for i in range(n):
         out.g1("h", i)
         for j in range(i + 1, n):
-            out.g2("cp", i, j, math.pi / 2 ** (j - i))
+            out.g2("cp", i, j, angles[j - i])
     for i in range(n // 2):
         out.g2("swap", i, n - 1 - i)
     return out.circuit()
@@ -128,14 +140,14 @@ def gen_cuccaro(n_bits: int) -> Circuit:
 def _su4_block(out: _Columns, rng: Xoshiro256StarStar, a: int, b: int):
     """Structural stand-in for a two-qubit SU(4) block: 3 cx interleaved with rotations."""
     th = [rng.random() * _TWO_PI for _ in range(6)]
-    out.g1("ry", a, th[0])
-    out.g1("rz", b, th[1])
+    out.g1("ry", a, (th[0],))
+    out.g1("rz", b, (th[1],))
     out.g2("cx", a, b)
-    out.g1("rz", a, th[2])
-    out.g1("ry", b, th[3])
+    out.g1("rz", a, (th[2],))
+    out.g1("ry", b, (th[3],))
     out.g2("cx", b, a)
-    out.g1("ry", a, th[4])
-    out.g1("rz", b, th[5])
+    out.g1("ry", a, (th[4],))
+    out.g1("rz", b, (th[5],))
     out.g2("cx", a, b)
 
 

@@ -17,12 +17,15 @@ declared and index in range, and the two qubits of a pair distinct. A run
 that passes is appended to the columns, with ``float`` for each parameter.
 In a run that fails, the same checks, made per parameter text, per operand
 and per row, name the lines that fail them; only those lines take the
-statement path, and the lines between them are appended as runs. Every
-other line (headers, declarations, ``barrier``, comments, several statements
-on a line, a statement split across lines, ``pi`` expressions) also goes
-through the statement path, in line order, so every error message, line and
-column comes from the statement path. Lines are numbered as
-``str.splitlines`` splits them.
+statement path, and the lines between them, having passed every check, are
+appended without a second one. Every other line (headers, declarations,
+``barrier``, comments, several statements on a line, a statement split
+across lines, ``pi`` expressions) also goes through the statement path, in
+line order, so every error message, line and column comes from the
+statement path. Lines are numbered as ``str.splitlines`` splits them.
+
+The serializer writes each qubit's operand text and each parameter tuple's
+text once per call, so gates that share a tuple share its text.
 """
 
 from __future__ import annotations
@@ -189,10 +192,11 @@ class _Program:
             run = [column[start:stop] for column in columns]
             if start < stop and not self.run(*run):
                 # Only the refused rows take the statement path; the rows
-                # between them pass every check of the lane.
+                # between them pass every check of the lane, so they are
+                # appended unchecked.
                 for bad in [*map(start.__add__, self.refused(*run)), stop]:
                     if start < bad:
-                        self.run(*[column[start:bad] for column in columns])
+                        self.append_rows(*[column[start:bad] for column in columns])
                     if bad < stop:
                         self.line(lines[bad], first_line + bad)
                     start = bad + 1
@@ -222,10 +226,24 @@ class _Program:
             return False
         if list(map(len, param_col)) != list(map(_PARAM_COUNTS.__getitem__, names)):
             return False
+        self.append(names, qubits, param_col)
+        return True
+
+    def append_rows(self, names, params, first, second) -> None:
+        """Append a run of canonical gate lines that pass every check of
+        ``run``, given as the columns of its rows, without checking them."""
+        index = self.index
+        pairs = list(zip(map(index.__getitem__, first), map(index.__getitem__, second)))
+        self.append(
+            names, map(self.singles.get, pairs, pairs), map(self.values.__getitem__, params)
+        )
+
+    def append(self, names, qubits, params) -> None:
+        """Append gates given as their names and their qubit and parameter
+        tuples."""
         self.labels.extend(map(_LABELS.__getitem__, names))
         self.qubits.extend(qubits)
-        self.params.extend(param_col)
-        return True
+        self.params.extend(params)
 
     def refused(self, names, params, first, second) -> list[int]:
         """The rows, ascending, of a run that ``run`` refused that fail one of
@@ -407,10 +425,22 @@ def parse_qasm(text: str) -> Circuit:
 
 
 def serialize_qasm(circuit: Circuit) -> str:
-    """Canonical text form; ``parse_qasm`` of the output reproduces the circuit."""
+    """Canonical text form; ``parse_qasm`` of the output reproduces the circuit.
+
+    Each qubit's operand text is built once per call, and each parameter
+    tuple's ``(...)`` text once, keyed by the tuple's identity: the circuit
+    holds every tuple for the call, so no key is reused, and a value key
+    would give ``(-0.0,)`` the text of an equal ``(0.0,)``.
+    """
+    names = [f"q[{q}]" for q in range(circuit.num_qubits)]
+    texts: dict[int, str] = {}
     lines = [_QASM_HEADER + f"qreg q[{circuit.num_qubits}];"]
     for label, qubits, params in zip(circuit.labels, circuit.qubits, circuit.params):
-        angles = f"({','.join(map(repr, params))})" if params else ""
-        args = ",".join(f"q[{q}]" for q in qubits)
-        lines.append(f"{label}{angles} {args};")
+        angles = texts.get(id(params))
+        if angles is None:
+            angles = texts[id(params)] = f"({','.join(map(repr, params))})" if params else ""
+        if len(qubits) == 1:
+            lines.append(f"{label}{angles} {names[qubits[0]]};")
+        else:
+            lines.append(f"{label}{angles} {names[qubits[0]]},{names[qubits[1]]};")
     return "\n".join(lines) + "\n"

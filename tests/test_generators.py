@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -16,6 +17,7 @@ from qcoremap import (
     gen_random,
     timeslice,
 )
+from qcoremap.cli import main
 from qcoremap.generators import STOCHASTIC_FAMILIES
 
 # Hand-enumerated once from the construction: a 1-bit adder is
@@ -62,6 +64,26 @@ class TestQft:
 
     def test_two_qubit_count_n10(self):
         assert pair_count(gen_qft(10)) == 50
+
+    def test_one_angle_tuple_per_distance(self):
+        circuit = gen_qft(40)
+        angles = {}
+        for label, qubits, params in zip(circuit.labels, circuit.qubits, circuit.params):
+            if label == "cp":
+                i, j = qubits
+                assert angles.setdefault(j - i, params) is params
+                assert params == (math.pi / 2 ** (j - i),)
+        assert sorted(angles) == list(range(1, 40))
+
+    def test_beyond_1024_qubits(self, tmp_path):
+        # pi / 2 ** d overflows at d = 1024; the angle at distance 1025 is
+        # subnormal, and generate writes the circuit.
+        circuit = gen_qft(1026)
+        row = circuit.qubits.index((0, 1025))
+        assert circuit.params[row] == (math.ldexp(math.pi, -1025),)
+        out = tmp_path / "qft.qasm"
+        assert main(["generate", "--family", "qft", "--qubits", "1026", "--out", str(out)]) == 0
+        assert f"cp({math.ldexp(math.pi, -1025)!r}) q[0],q[1025];\n" in out.read_text()
 
 
 class TestCuccaro:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from unittest import mock
@@ -157,6 +158,39 @@ class TestParse:
         assert verdicts == [([("h", None, "q[1]", None)], True)]
 
 
+def _pinned_spec(family, n):
+    """Each family at ``n`` qubits; at 200, quantum volume and random take
+    the shape of map-hqa's 200-qubit cell (12 layers, density 0.8)."""
+    layers = 12 if n == 200 else None
+    return BenchmarkSpec(
+        family,
+        n,
+        depth=layers if family == "quantum_volume" else None,
+        cycles=layers if family == "random" else None,
+        density=0.8 if family == "random" and n == 200 else None,
+        seed=5 if family in ("quantum_volume", "random") else None,
+    )
+
+
+# The sha256 of serialize_qasm(_pinned_spec(family, n).build()), recorded
+# when every generated gate held a parameter tuple of its own: the value
+# round trips cannot see a flipped sign or a changed float text, these can.
+GENERATED_TEXT_SHA256 = {
+    ("ghz", 16): "60e01eea1545c34b31c74ff58fad45b354901e03e4b7bcdbfb3bc36ee28ac6af",
+    ("cuccaro", 16): "dfe9f3f73f3563b0f0d8ea8a5f87f719d8d5bf36892e73d73ff8857418d1bdc5",
+    ("qft", 16): "1cf076e07609c4120dadd1a0ffc050b6b403701cc782d3c984e45be36f073b4c",
+    ("quantum_volume", 16): "dc5c93b42e808e03f03d5ea261218c2e90c842cc5856a8e7efde484bb0bee149",
+    ("grover", 16): "e720c99d2f617279d38041aba33eed01e235371fd7aef8bb48733ba458253461",
+    ("random", 16): "9091bb52d262d3e94a015b111e86f5fab67ebdc248eaa688361b6dbed6f2899d",
+    ("ghz", 200): "f63b5485bcfcad83cbc4c2f0b1b2c73681ae0027eefa42acf7d5e011e3d67e07",
+    ("cuccaro", 200): "c91eb39dcc168065557ca01fbce644b02145aa291f9a20a2dd25bbdb3d872c27",
+    ("qft", 200): "d90714bb6edbb4438f4dbff8c94fe9473d872eabe3d84aa461b60394ce30d963",
+    ("quantum_volume", 200): "e023001aab0f97be031549ea5b4808e0743bc9cc375071b9212e76e747fe6da2",
+    ("grover", 200): "483f68cafd39f6c450c2be5d5f37d24b9eaca9de3e713c0c7b563d02ad1781e4",
+    ("random", 200): "e6628a01c7031bbdc8599ea214ad4b5176f1f2b4f69c175db33c9d0d31b0ddc7",
+}
+
+
 class TestSerialize:
     def test_canonical_form(self):
         text = serialize_qasm(Circuit(2, (Gate("cx", (0, 1)),)))
@@ -169,6 +203,28 @@ class TestSerialize:
     @given(circuits())
     def test_round_trip_random_circuits(self, circuit):
         assert parse_qasm(serialize_qasm(circuit)) == circuit
+
+    @pytest.mark.parametrize("family, n", sorted(GENERATED_TEXT_SHA256))
+    def test_generated_text_is_pinned_by_its_bytes(self, family, n):
+        text = serialize_qasm(_pinned_spec(family, n).build())
+        assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_TEXT_SHA256[family, n]
+
+    def test_each_parameter_tuple_keeps_its_own_text(self):
+        # (0.0,) == (-0.0,) and both hash alike, so a text cache keyed by
+        # value would write one of them with the other's sign.
+        zero = 0.0
+        gates = [Gate("rz", (0,), (zero,)), Gate("rz", (1,), (-zero,)),
+                 Gate("rz", (0,), (-zero,)), Gate("rz", (1,), (zero,))]
+        body = "rz(0.0) q[0];\nrz(-0.0) q[1];\nrz(-0.0) q[0];\nrz(0.0) q[1];\n"
+        assert serialize_qasm(Circuit(2, gates)).endswith("qreg q[2];\n" + body)
+        text = (
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+            "rz(-0.0) q[0];\nrz(0.0) q[1];\ncp(0.5) q[0],q[1];\nrz(-0.0) q[1];\n"
+            "cp(0.5) q[1],q[0];\nrz(0.0) q[0];\n"
+        )
+        parsed = parse_qasm(text)
+        assert parsed.params[2] is parsed.params[4]  # one tuple per parameter text
+        assert serialize_qasm(parsed) == text
 
 
 @pytest.mark.parametrize(

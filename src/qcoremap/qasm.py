@@ -23,9 +23,6 @@ appended without a second one. Every other line (headers, declarations,
 across lines, ``pi`` expressions) also goes through the statement path, in
 line order, so every error message, line and column comes from the
 statement path. Lines are numbered as ``str.splitlines`` splits them.
-
-The serializer writes each qubit's operand text and each parameter tuple's
-text once per call, so gates that share a tuple share its text.
 """
 
 from __future__ import annotations

@@ -17,12 +17,12 @@ declared and index in range, and the two qubits of a pair distinct. A run
 that passes is appended to the columns, with ``float`` for each parameter.
 In a run that fails, the same checks, made per parameter text, per operand
 and per row, name the lines that fail them; only those lines take the
-statement path, and the lines between them, having passed every check, are
-appended without a second one. Every other line (headers, declarations,
-``barrier``, comments, several statements on a line, a statement split
-across lines, ``pi`` expressions) also goes through the statement path, in
-line order, so every error message, line and column comes from the
-statement path. Lines are numbered as ``str.splitlines`` splits them.
+statement path, and the lines between them are appended as runs. Every
+other line (headers, declarations, ``barrier``, comments, several statements
+on a line, a statement split across lines, ``pi`` expressions) also goes
+through the statement path, in line order, so every error message, line and
+column comes from the statement path. Lines are numbered as
+``str.splitlines`` splits them.
 """
 
 from __future__ import annotations
@@ -189,11 +189,10 @@ class _Program:
             run = [column[start:stop] for column in columns]
             if start < stop and not self.run(*run):
                 # Only the refused rows take the statement path; the rows
-                # between them pass every check of the lane, so they are
-                # appended unchecked.
+                # between them pass every check of the lane.
                 for bad in [*map(start.__add__, self.refused(*run)), stop]:
                     if start < bad:
-                        self.append_rows(*[column[start:bad] for column in columns])
+                        self.run(*[column[start:bad] for column in columns])
                     if bad < stop:
                         self.line(lines[bad], first_line + bad)
                     start = bad + 1
@@ -223,24 +222,10 @@ class _Program:
             return False
         if list(map(len, param_col)) != list(map(_PARAM_COUNTS.__getitem__, names)):
             return False
-        self.append(names, qubits, param_col)
-        return True
-
-    def append_rows(self, names, params, first, second) -> None:
-        """Append a run of canonical gate lines that pass every check of
-        ``run``, given as the columns of its rows, without checking them."""
-        index = self.index
-        pairs = list(zip(map(index.__getitem__, first), map(index.__getitem__, second)))
-        self.append(
-            names, map(self.singles.get, pairs, pairs), map(self.values.__getitem__, params)
-        )
-
-    def append(self, names, qubits, params) -> None:
-        """Append gates given as their names and their qubit and parameter
-        tuples."""
         self.labels.extend(map(_LABELS.__getitem__, names))
         self.qubits.extend(qubits)
-        self.params.extend(params)
+        self.params.extend(param_col)
+        return True
 
     def refused(self, names, params, first, second) -> list[int]:
         """The rows, ascending, of a run that ``run`` refused that fail one of

@@ -172,9 +172,9 @@ def _pinned_spec(family, n):
     )
 
 
-# The sha256 of serialize_qasm(_pinned_spec(family, n).build()), recorded
-# when every generated gate held a parameter tuple of its own: the value
-# round trips cannot see a flipped sign or a changed float text, these can.
+# The sha256 of serialize_qasm(_pinned_spec(family, n).build()). They pin the
+# bytes, which value round trips cannot see: a flipped sign or a changed
+# float text.
 GENERATED_TEXT_SHA256 = {
     ("ghz", 16): "60e01eea1545c34b31c74ff58fad45b354901e03e4b7bcdbfb3bc36ee28ac6af",
     ("cuccaro", 16): "dfe9f3f73f3563b0f0d8ea8a5f87f719d8d5bf36892e73d73ff8857418d1bdc5",
@@ -241,7 +241,9 @@ class TestSerialize:
 )
 def test_round_trip_every_generator(spec):
     circuit = spec.build()
-    assert parse_qasm(serialize_qasm(circuit)) == circuit
+    text = serialize_qasm(circuit)
+    assert parse_qasm(text) == circuit
+    assert serialize_qasm(parse_qasm(text)) == text
 
 
 def _outcome(parse, text):

@@ -15,7 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass, fields
 
-from .assignment import Architecture, count_communications, initial_assignment, validate_path
+from .assignment import Architecture, count_communications, validate_path
 from .circuit import Circuit, timeslice
 from .fgp import fgp_map_circuit
 from .generators import STOCHASTIC_FAMILIES, BenchmarkSpec
@@ -80,24 +80,24 @@ def parse_benchmark_names(names) -> list[tuple[str, float | None]]:
 
 
 def _run_mapper(circuit: Circuit, arch: Architecture, mapper: str, use_attraction: bool):
-    """Slice ``circuit``, map it with ``mapper`` (hqa with or without
-    attraction, or fgp-roee) and validate every slice of the path.
+    """Map ``circuit`` with ``mapper`` (hqa with or without attraction, or
+    fgp-roee), which slices it, and validate every slice of the path.
 
-    A circuit the cores cannot hold raises CapacityError before it is sliced.
+    The mapper raises CapacityError for a circuit the cores cannot hold
+    before it slices it.
     Returns the path, the milliseconds taken to slice and map, and the
     path's ``RunRecord`` counts: ``num_slices``, ``num_2q_gates`` and
     ``communications``.
     """
     if mapper not in (MAPPER_HQA, MAPPER_FGP):
         raise UsageError(f"unknown mapper '{mapper}'")
-    initial_assignment(circuit.num_qubits, arch)  # capacity check, untimed
     started = time.perf_counter()
-    sliced = timeslice(circuit)
     if mapper == MAPPER_HQA:
         path = map_circuit(circuit, arch, HqaConfig(use_attraction=use_attraction))
     else:
         path = fgp_map_circuit(circuit, arch)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    sliced = timeslice(circuit)  # the mapper's slicing, stored on the circuit
     validate_path(path, sliced, arch)
     return path, elapsed_ms, {
         "num_slices": sliced.num_slices,

@@ -10,27 +10,22 @@ The parser builds a circuit's columns, not ``Gate`` objects. Most lines of a
 generated program are one canonical gate statement,
 ``name[(p,...)] reg[i][,reg[j]];``, naming a supported gate. The text is read
 in pieces of whole lines, and one regex split of a piece gives a row per line.
-Each run of canonical gate lines that starts no earlier statement's
-continuation is checked as columns: every gate's arity and parameter count,
-every parameter a plain decimal numeral of finite value, every register
-declared and index in range, and the two qubits of a pair distinct. A run
-that passes is appended to the columns, with ``float`` for each parameter.
-In a run that fails, the same checks, made per parameter text, per operand
-and per row, name the lines that fail them; only those lines take the
-statement path, and the lines between them are appended as runs. Every
-other line (headers, declarations, ``barrier``, comments, several statements
-on a line, a statement split across lines, ``pi`` expressions) also goes
-through the statement path, in line order, so every error message, line and
-column comes from the statement path. Lines are numbered as
+The rows are checked one at a time, in line order. A canonical gate line that
+continues no earlier statement is appended to the columns, with ``float`` for
+each parameter, when it passes these checks: its arity and parameter
+count, every parameter a plain decimal numeral of finite value, every
+register declared and index in range, and the two qubits of a pair distinct.
+Every other line (one that fails a check, headers, declarations, ``barrier``,
+comments, several statements on a line, a statement split across lines,
+``pi`` expressions) goes through the statement path, so every error message,
+line and column comes from the statement path. Lines are numbered as
 ``str.splitlines`` splits them.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
-from itertools import chain, compress, repeat
 
 from .circuit import Circuit, _from_columns
 
@@ -45,8 +40,10 @@ _LABELS = {name: name for name in _ARITY}  # one string object per label
 
 _QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
+# The parameter list runs to the last ')' before the operands, which hold no
+# parentheses, so a parameter expression may nest them.
 _STMT_RE = re.compile(
-    r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>[^()]*)$"
+    r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\((?P<params>.*)\))?\s*(?P<args>[^()]*)$"
 )
 _ARG_RE = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(?P<idx>\d+)\s*\])?$")
 # Split on this, a text gives five strings per '\n'-separated line: the
@@ -56,7 +53,7 @@ _ARG_RE = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(?P<idx>\d+)\s
 # (None for a one-qubit gate); any other line gives four None. Over the
 # parameter alphabet, the strings float() accepts are exactly the signed
 # decimal numerals, which _ExprParser evaluates to the same value; on any
-# other string float() raises and the run takes the statement path.
+# other string float() raises and the line takes the statement path.
 _OPERAND = r"[A-Za-z_][A-Za-z0-9_]*\[[0-9]+\]"
 _ROWS = re.compile(
     rf"^(?:[ \t]*([a-z][a-z0-9]*)(?:\(([-+0-9.eE \t,]*)\))?[ \t]+"
@@ -154,9 +151,9 @@ class _ExprParser:
 
 class _Program:
     """Parse state: the registers, the gate columns, the text of a statement
-    that an earlier line left unfinished, and what the lane has read: each
-    parameter text's values and each operand's qubit. A register keeps its
-    place once declared, so an operand read once keeps its qubit."""
+    that an earlier line left unfinished, and what the lane has read, line by
+    line: each parameter text's values and each operand's qubit. A register
+    keeps its place once declared, so an operand read once keeps its qubit."""
 
     def __init__(self):
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, width)
@@ -168,85 +165,37 @@ class _Program:
         self.pending_line = self.pending_col = 0
         self.values: dict[str | None, tuple[float, ...]] = {None: ()}
         self.index: dict[str | None, int | None] = {None: None}
-        self.singles: dict[tuple[int, None], tuple[int]] = {}  # (q, None) -> (q,)
+        self.singles: dict[int, tuple[int]] = {}  # q -> (q,)
 
     def lines(self, text: str, first_line: int) -> None:
-        """Parse ``text``, whole lines of which the first is ``first_line``:
-        each run of canonical gate lines through the lane, but for the rows
-        of a refused run that fail a check, and every other line through the
-        statement path, in line order."""
+        """Parse ``text``, whole lines of which the first is ``first_line``,
+        in line order: each canonical gate line that passes the lane's checks
+        is appended to the columns, and every other line goes through the
+        statement path. Gates that repeat a parameter text share its tuple,
+        and one-qubit gates on one qubit share theirs."""
         lines = text.split("\n")
         flat = _ROWS.split(text)
-        columns = flat[1::5], flat[2::5], flat[3::5], flat[4::5]
-        names = columns[0]
-        start = 0
-        other = map(operator.not_, map(_ARITY.__contains__, names))
-        for stop in [*compress(range(len(names)), other), len(names)]:
-            # Rows start..stop-1 are canonical gate lines; row stop is not.
-            if start < stop and self.pending:
-                self.line(lines[start], first_line + start)  # completes the continuation
-                start += 1
-            run = [column[start:stop] for column in columns]
-            if start < stop and not self.run(*run):
-                # Only the refused rows take the statement path; the rows
-                # between them pass every check of the lane.
-                for bad in [*map(start.__add__, self.refused(*run)), stop]:
-                    if start < bad:
-                        self.run(*[column[start:bad] for column in columns])
-                    if bad < stop:
-                        self.line(lines[bad], first_line + bad)
-                    start = bad + 1
-            if stop < len(names):
-                self.line(lines[stop], first_line + stop)
-            start = stop + 1
-
-    def run(self, names, params, first, second) -> bool:
-        """Append a run of canonical gate lines, given as the columns of its
-        rows and each naming a supported gate, to the gate columns. False,
-        with nothing appended, when a line fails a check; ``refused`` then
-        names those lines. Gates that repeat a parameter text share its
-        tuple, and one-qubit gates on one qubit share theirs."""
-        values, index = self.values, self.index
-        if not all(map(self._value, set(params).difference(values))):
-            return False
-        if not all(map(self._operand, set(first).union(second).difference(index))):
-            return False
-        a = list(map(index.__getitem__, first))
-        b = list(map(index.__getitem__, second))
-        if any(map(operator.eq, a, b)):
-            return False
-        # A one-qubit gate's (q, None) becomes (q,); a pair is kept as it is.
-        qubits = list(map(self.singles.get, zip(a, b), zip(a, b)))
-        param_col = list(map(values.__getitem__, params))
-        if list(map(len, qubits)) != list(map(_ARITY.__getitem__, names)):
-            return False
-        if list(map(len, param_col)) != list(map(_PARAM_COUNTS.__getitem__, names)):
-            return False
-        self.labels.extend(map(_LABELS.__getitem__, names))
-        self.qubits.extend(qubits)
-        self.params.extend(param_col)
-        return True
-
-    def refused(self, names, params, first, second) -> list[int]:
-        """The rows, ascending, of a run that ``run`` refused that fail one of
-        its checks: a parameter text that is not finite decimal numerals, an
-        operand outside the declared registers, a pair on one qubit, or the
-        wrong number of operands or parameters for the gate."""
-        values, index = self.values, self.index
-        for text in set(params).difference(values):
-            self._value(text)
-        for operand in set(first).union(second).difference(index):
-            self._operand(operand)
-        return [
-            row
-            for row, (name, text, x, y) in enumerate(zip(names, params, first, second))
-            if text not in values
-            or x not in index
-            or y not in index
-            or index[x] == index[y]
-            or (1 if y is None else 2) != _ARITY[name]
-            or len(values[text]) != _PARAM_COUNTS[name]
-        ]
+        label, qubit, param = self.labels.append, self.qubits.append, self.params.append
+        values, index, singles = self.values, self.index, self.singles
+        value, operand = self._value, self._operand
+        rows = zip(flat[1::5], flat[2::5], flat[3::5], flat[4::5])
+        for row, (name, param_text, x, y) in enumerate(rows):
+            if (
+                name in _ARITY
+                and not self.pending
+                and (param_text in values or value(param_text))
+                and (x in index or operand(x))
+                and (y in index or operand(y))
+            ):
+                a, b = index[x], index[y]
+                qubits = singles[a] if b is None else (a, b)
+                params = values[param_text]
+                if a != b and len(qubits) == _ARITY[name] and len(params) == _PARAM_COUNTS[name]:
+                    label(_LABELS[name])
+                    qubit(qubits)
+                    param(params)
+                    continue
+            self.line(lines[row], first_line + row)
 
     def _value(self, text: str) -> bool:
         """Record a parameter text's values; False when it is not finite
@@ -269,7 +218,7 @@ class _Program:
         if register is None or i >= register[1]:
             return False
         q = self.index[operand] = register[0] + i
-        self.singles[q, None] = (q,)
+        self.singles[q] = (q,)
         return True
 
     def line(self, raw: str, lineno: int) -> None:
@@ -354,6 +303,8 @@ class _Program:
                 params = tuple(_ExprParser(p).parse() for p in parts)
             except ValueError as exc:
                 raise QasmError(str(exc), line, col) from None
+            except RecursionError:
+                raise QasmError("parameter expression nested too deeply", line, col) from None
 
         args = [a.strip() for a in m.group("args").split(",")] if m.group("args").strip() else []
         if len(args) != arity:

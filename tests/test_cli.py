@@ -84,6 +84,13 @@ class TestMap:
         err = capsys.readouterr().err
         assert err == "error: line 1, column 12: division by zero in parameter expression\n"
 
+    def test_deeply_nested_parameter_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text("qreg q[2];\nh q[0];\n  rz(" + "(" * 400 + "1" + ")" * 400 + ") q[0];\n")
+        assert main(["map", str(bad), "--cores", "2", "--capacity", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3, column 3: parameter expression nested too deeply\n"
+
     def test_bad_qasm_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"
         bad.write_text("qreg q[2];\nccx q[0],q[1],q[0];\n")

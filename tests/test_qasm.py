@@ -22,19 +22,18 @@ from qcoremap import qasm as qasm_module
 from qcoremap.qasm import ONE_QUBIT_GATES, TWO_QUBIT_GATES
 
 
-def record_runs(monkeypatch):
-    """Record each run of canonical gate lines the lane is offered, as its
-    rows (name, parameter text, operands), with the lane's verdict."""
-    verdicts = []
-    run = qasm_module._Program.run
+def record_statement_lines(monkeypatch):
+    """Record each line that takes the statement path, as (line number,
+    text); every other line took the lane."""
+    seen = []
+    line = qasm_module._Program.line
 
-    def recording(program, *columns):
-        verdict = run(program, *columns)
-        verdicts.append((list(zip(*columns)), verdict))
-        return verdict
+    def recording(program, raw, lineno):
+        seen.append((lineno, raw))
+        return line(program, raw, lineno)
 
-    monkeypatch.setattr(qasm_module._Program, "run", recording)
-    return verdicts
+    monkeypatch.setattr(qasm_module._Program, "line", recording)
+    return seen
 
 
 class TestParse:
@@ -111,16 +110,43 @@ class TestParse:
             parse_qasm(f"qreg q[2];\nh q[1];\n  rz({expression}) q[0];")
         assert (err.value.line, err.value.column) == (3, 3)
 
+    @pytest.mark.parametrize(
+        "expression, values",
+        [
+            ("-(pi/4)", (-math.pi / 4,)),
+            ("(1+2)*pi", (3 * math.pi,)),
+            ("pi*(1/2),0,pi", (math.pi / 2, 0.0, math.pi)),
+        ],
+    )
+    def test_parenthesised_parameters(self, expression, values):
+        gate = "u3" if "," in expression else "rz"
+        text = f"qreg q[1];\n{gate}({expression}) q[0];"
+        assert parse_qasm(text).params == (values,)
+        assert_parses_like_reference(text)
+
+    def test_unbalanced_parenthesis_reports_line(self):
+        with pytest.raises(QasmError, match="unbalanced parentheses") as err:
+            parse_qasm("qreg q[1];\nh q[0];\nrz((1) q[0];")
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "expression", ["(" * 400 + "1" + ")" * 400, "-" * 1000 + "1"], ids=["parens", "signs"]
+    )
+    def test_deep_nesting_reports_line(self, expression):
+        with pytest.raises(QasmError, match="nested too deeply") as err:
+            parse_qasm(f"qreg q[1];\nh q[0];\n  rz({expression}) q[0];")
+        assert (err.value.line, err.value.column) == (3, 3)
+
     @pytest.mark.parametrize("numeral", ["1e999", "-1e999", "0,1e999,0"])
     def test_fast_lane_rejects_non_finite(self, numeral, monkeypatch):
         # A plain numeral that float() reads as +-inf makes the lane refuse
-        # its run, and the statement path rejects it at its line.
-        verdicts = record_runs(monkeypatch)
+        # its line, and the statement path rejects it at that line.
+        seen = record_statement_lines(monkeypatch)
         gate = "u3" if "," in numeral else "rz"
         with pytest.raises(QasmError, match="not finite") as err:
             parse_qasm(f"qreg q[1];\n{gate}({numeral}) q[0];")
         assert (err.value.line, err.value.column) == (2, 1)
-        assert [verdict for _, verdict in verdicts] == [False]
+        assert seen == [(1, "qreg q[1];"), (2, f"{gate}({numeral}) q[0];")]
 
     @pytest.mark.parametrize("expression", ["1e999-1e999", "1e308*10", "-pi*1e308"])
     def test_statement_path_rejects_non_finite(self, expression):
@@ -151,11 +177,11 @@ class TestParse:
         assert (err.value.line, err.value.column) == (4, 3)
 
     def test_line_after_trailing_blank_takes_fast_lane(self, monkeypatch):
-        verdicts = record_runs(monkeypatch)
+        seen = record_statement_lines(monkeypatch)
         circuit = parse_qasm("qreg q[2];\ncx q[0],q[1]; \nh q[1];\n")
         assert [(g.label, g.qubits) for g in circuit.gates] == [("cx", (0, 1)), ("h", (1,))]
-        # The trailing-blank line took the statement path; the next is a run.
-        assert verdicts == [([("h", None, "q[1]", None)], True)]
+        # The trailing-blank line took the statement path; the next took the lane.
+        assert [lineno for lineno, _ in seen] == [1, 2, 4]
 
 
 def _pinned_spec(family, n):
@@ -433,10 +459,12 @@ class TestAgreesWithReference:
         assert (err.value.line, err.value.column) == (4, 3)
 
     def test_generated_text_is_one_accepted_run(self, monkeypatch):
-        verdicts = record_runs(monkeypatch)
+        seen = record_statement_lines(monkeypatch)
         circuit = BenchmarkSpec("random", 12, cycles=4, density=0.5, seed=3).build()
         assert parse_qasm(serialize_qasm(circuit)) == circuit
-        assert [(len(rows), verdict) for rows, verdict in verdicts] == [(len(circuit.gates), True)]
+        # Only the header, the declaration and the empty last line take the
+        # statement path: every gate line takes the lane.
+        assert [raw for _, raw in seen] == ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[12];", ""]
 
     def test_only_refused_lines_take_the_statement_path(self, monkeypatch):
         # A line the lane refuses (``h()``/``cx()``, valid but not canonical)

@@ -464,7 +464,9 @@ class TestAgreesWithReference:
         assert parse_qasm(serialize_qasm(circuit)) == circuit
         # Only the header, the declaration and the empty last line take the
         # statement path: every gate line takes the lane.
-        assert [raw for _, raw in seen] == ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[12];", ""]
+        assert [raw for _, raw in seen] == [
+            "OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[12];", ""
+        ]
 
     def test_only_refused_lines_take_the_statement_path(self, monkeypatch):
         # A line the lane refuses (``h()``/``cx()``, valid but not canonical)
